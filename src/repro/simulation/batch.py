@@ -293,6 +293,22 @@ class TrajectoryBatch:
             out.append(trajectory)
         return out
 
+    def head(self, n: int) -> "TrajectoryBatch":
+        """A new batch holding copies of the first ``n`` rows."""
+        if not 0 <= n <= len(self):
+            raise ValidationError(f"head({n}) of a {len(self)}-row batch")
+        offsets = self.failure_offsets[: n + 1]
+        return TrajectoryBatch(
+            horizon=self.horizon,
+            failure_times=self.failure_times[: offsets[-1]].copy(),
+            failure_offsets=offsets.copy(),
+            downtime=self.downtime[:n].copy(),
+            costs={field: self.costs[field][:n].copy() for field in COST_FIELDS},
+            n_inspections=self.n_inspections[:n].copy(),
+            n_preventive_actions=self.n_preventive_actions[:n].copy(),
+            n_corrective_replacements=self.n_corrective_replacements[:n].copy(),
+        )
+
     @classmethod
     def merge(cls, batches: Sequence["TrajectoryBatch"]) -> "TrajectoryBatch":
         """Concatenate batches in order (horizons must agree)."""

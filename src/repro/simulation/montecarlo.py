@@ -1,14 +1,20 @@
 """Monte Carlo replication driver with confidence intervals.
 
 :class:`MonteCarlo` owns the reproducibility story: a single integer
-seed expands via :class:`numpy.random.SeedSequence` into one independent
-RNG stream per trajectory, so results are invariant to batching and
-fully reproducible.
+seed expands via :class:`numpy.random.SeedSequence` into independent
+child RNG streams, spawned in order.  The object engine takes one
+stream per trajectory, so its results are invariant to batching.  The
+lockstep vectorized kernel takes one stream per chunk of
+``chunk_trajectories`` rows, so its results are reproducible for a
+fixed seed and chunk size, but a different chunk size samples
+different trajectories.
 
 Two modes are provided: a fixed replication count (:meth:`MonteCarlo.run`)
 and sequential estimation to a target relative precision
 (:meth:`MonteCarlo.run_to_precision`), mirroring the statistical
-model-checking workflow the paper's analyses used.
+model-checking workflow the paper's analyses used.  Both draw serial
+vectorized chunks through :meth:`MonteCarlo._next_chunk`, so a
+sequential run's rows are a prefix of the fixed-count run's rows.
 """
 
 from __future__ import annotations
@@ -16,7 +22,15 @@ from __future__ import annotations
 import time as _time
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -52,10 +66,26 @@ from repro.stats.sequential import RelativePrecisionRule, RunningStatistics
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.rareevent.estimator import RareEventConfig, RareEventResult
     from repro.simulation.parallel import SharedSimulationPool
+    from repro.simulation.vectorized import VectorizedKernel
 
 __all__ = ["MonteCarlo", "MonteCarloResult"]
 
 logger = get_logger(__name__)
+
+#: Statistics :meth:`MonteCarlo.run_to_precision` can control: the
+#: per-trajectory value, read from a trajectory object and from the
+#: columns of a :class:`~repro.simulation.batch.TrajectoryBatch`.
+_TARGETS = {
+    "failures": (
+        lambda t: float(t.n_failures),
+        lambda b: b.n_failures.astype(np.float64),
+    ),
+    "unreliability": (
+        lambda t: 1.0 if t.failed_by_horizon else 0.0,
+        lambda b: (b.n_failures > 0).astype(np.float64),
+    ),
+    "cost": (lambda t: t.costs.total, lambda b: b.cost_total),
+}
 
 
 @dataclass(frozen=True)
@@ -77,7 +107,7 @@ class MonteCarloResult:
     # Convenience pass-throughs used everywhere in the experiments.
     @property
     def n_runs(self) -> int:
-        """Number of simulated trajectories."""
+        """Number of trajectories the KPIs summarize."""
         return self.summary.n_runs
 
     @property
@@ -134,7 +164,8 @@ class MonteCarlo:
     cost_model:
         Cost model for the cost KPI; optional.
     seed:
-        Root seed; every trajectory gets an independent child stream.
+        Root seed; child streams are spawned from it in order, one per
+        object-engine trajectory or one per lockstep chunk.
     record_events:
         Forwarded to :class:`~repro.simulation.executor.SimulationConfig`.
     instrumentation:
@@ -156,11 +187,14 @@ class MonteCarlo:
         ``strategy`` construction.
     kernel:
         Trajectory sampler for the batch drivers (:meth:`run`,
-        :meth:`run_parallel`): ``"object"`` or ``"vectorized"`` (see
+        :meth:`run_parallel`, :meth:`run_to_precision`): ``"object"``
+        or ``"vectorized"`` (see
         :class:`~repro.simulation.executor.SimulationConfig`).  ``None``
         (the default) keeps the prototype's kernel, or ``"object"``
-        when building from a tree.  The per-trajectory entry points
-        (:meth:`sample`, :meth:`run_to_precision`, rare-event
+        when building from a tree.  Models with a
+        :func:`~repro.simulation.vectorized.vectorized_fallback_reason`
+        run on the object engine either way.  The per-trajectory entry
+        points (:meth:`sample`, :meth:`sample_batch`, rare-event
         estimation) always use the object engine.
     chunk_trajectories:
         Lockstep chunk size for the vectorized kernel (see
@@ -250,6 +284,20 @@ class MonteCarlo:
         child = self._seed_sequence.spawn(1)[0]
         self._streams_used += 1
         return np.random.default_rng(child)
+
+    def _next_chunk(
+        self,
+        kernel: "VectorizedKernel",
+        size: int,
+        instr: Optional[Instrumentation],
+        progress: Optional[Callable[[float], None]] = None,
+    ) -> TrajectoryBatch:
+        """Simulate one lockstep chunk of ``size`` rows on the next child
+        stream — the one seed scheme of serial vectorized runs."""
+        chunk = kernel.simulate_chunk(size, self._next_rng(), progress=progress)
+        if instr is not None:
+            instr.count(_obs.SIM_TRAJECTORIES, size)
+        return chunk
 
     def _resolve_instrumentation(self) -> Optional[Instrumentation]:
         """Explicit instrumentation, else the simulator's, else ambient."""
@@ -554,12 +602,9 @@ class MonteCarlo:
         if vectorized_fallback_reason(self.simulator) is None:
             kernel = VectorizedKernel(self.simulator)
             chunk = self.simulator.config.chunk_trajectories
-            n_chunks = -(-n_runs // chunk)
-            chunk_seeds = self._seed_sequence.spawn(n_chunks)
-            self._streams_used += n_chunks
             instr = self._resolve_instrumentation()
             step = self._progress_step(n_runs)
-            for seed in chunk_seeds:
+            while done < n_runs:
                 size = min(chunk, n_runs - done)
                 callback = None
                 if reporter is not None:
@@ -576,12 +621,8 @@ class MonteCarlo:
                             report(equivalent)
 
                 accumulator.add_batch(
-                    kernel.simulate_chunk(
-                        size, np.random.default_rng(seed), progress=callback
-                    )
+                    self._next_chunk(kernel, size, instr, progress=callback)
                 )
-                if instr is not None:
-                    instr.count(_obs.SIM_TRAJECTORIES, size)
                 done += size
                 report(done)
         else:
@@ -663,11 +704,22 @@ class MonteCarlo:
     ) -> MonteCarloResult:
         """Sequential estimation to a target relative precision.
 
-        Batches of trajectories are simulated until the stopping
-        ``rule`` declares the confidence interval of the ``target``
-        statistic tight enough (or its sample budget is exhausted).
-        All KPIs are then summarized over everything that was
-        simulated.
+        Batches of ``batch_size`` trajectories are observed until the
+        stopping ``rule`` declares the confidence interval of the
+        ``target`` statistic tight enough (or its sample budget is
+        exhausted).  All KPIs are then summarized over every observed
+        trajectory.
+
+        With ``kernel="vectorized"`` on a vectorizable model the rows
+        come from whole lockstep chunks of ``chunk_trajectories``, drawn
+        on the same child streams as :meth:`run`; batch boundaries run
+        over the whole row stream, so a batch may span two chunks.  The
+        unobserved tail of the last chunk is dropped — the rows of a
+        chunk are independent trajectories and the stopping decision
+        only ever saw the rows before it — so the result is exactly the
+        first ``n_runs`` rows of a :meth:`run` from a fresh driver with
+        the same seed.  Otherwise every batch is ``batch_size`` fresh
+        object-engine trajectories (:meth:`sample`).
 
         ``target`` selects the controlled statistic: ``"failures"``
         (number of system failures per trajectory, the default),
@@ -686,19 +738,19 @@ class MonteCarlo:
         the rule's confidence), the relative half-width, and the
         rule's target relative error — so a long sequential run shows
         how far from convergence it is, not just how many samples it
-        has burned.
+        has burned.  The ``mc.run_to_precision`` span records the
+        ``kernel`` that ran, ``n_samples`` (rows observed) and
+        ``n_simulated`` (rows simulated, including a dropped tail).
         """
-        extractors = {
-            "failures": lambda t: float(t.n_failures),
-            "unreliability": lambda t: 1.0 if t.failed_by_horizon else 0.0,
-            "cost": lambda t: t.costs.total,
-        }
-        extractor = extractors.get(target)
-        if extractor is None:
+        from repro.simulation.vectorized import vectorized_fallback_reason
+
+        columns = _TARGETS.get(target)
+        if columns is None:
             raise ValidationError(
                 f"unknown target {target!r}; expected one of "
-                f"{sorted(extractors)}"
+                f"{sorted(_TARGETS)}"
             )
+        extractor, column = columns
         if rule is None:
             rule = RelativePrecisionRule()
         if batch_size < 1:
@@ -709,21 +761,36 @@ class MonteCarlo:
             )
         reporter = self._resolve_progress(progress)
         statistics = RunningStatistics()
+        lockstep = (
+            self.simulator.config.kernel == "vectorized"
+            and vectorized_fallback_reason(self.simulator) is None
+        )
         collected: List[Trajectory] = []
-        # With keep_trajectories=False the batches are folded straight
+        # Without kept trajectory objects the batches are folded straight
         # into columnar form, so an open-ended sequential run keeps a
         # bounded footprint no matter how many samples the rule needs.
+        # The lockstep kernel's native output is columns, so it always
+        # folds (kept trajectories are rebuilt from the batch).
         accumulator = (
             None
-            if keep_trajectories
+            if keep_trajectories and not lockstep
             else TrajectoryAccumulator(horizon=self.horizon)
         )
+        if lockstep:
+            batches = self._lockstep_batches(column, batch_size, accumulator)
+        else:
+            batches = self._object_batches(
+                extractor,
+                batch_size,
+                collected.extend if accumulator is None else accumulator.extend,
+            )
         with _spans.span(
             "mc.run_to_precision",
             {
                 "target": target,
                 "batch_size": batch_size,
                 "relative_error": rule.relative_error,
+                "kernel": "vectorized" if lockstep else "object",
             },
         ) as run_span:
             start = _time.perf_counter()
@@ -747,20 +814,17 @@ class MonteCarlo:
                         )
                     )
                     break
-                batch = self.sample(batch_size)
-                for trajectory in batch:
-                    statistics.add(extractor(trajectory))
-                if accumulator is None:
-                    collected.extend(batch)
-                else:
-                    accumulator.extend(batch)
+                statistics.extend(next(batches))
                 if reporter is not None:
                     reporter.update(
                         self._convergence_event(
                             statistics, rule, start, done=False
                         )
                     )
-            run_span.set_attribute("n_samples", statistics.count)
+            n_samples = statistics.count
+            n_simulated = n_samples if accumulator is None else len(accumulator)
+            run_span.set_attribute("n_samples", n_samples)
+            run_span.set_attribute("n_simulated", n_simulated)
             if reporter is not None:
                 reporter.update(
                     self._convergence_event(statistics, rule, start, done=True)
@@ -771,9 +835,54 @@ class MonteCarlo:
                     summary=summary, trajectories=tuple(collected)
                 )
             built = accumulator.finalize()
-            return MonteCarloResult(
-                summary=self._summarize(built, confidence), batch=built
-            )
+            if n_simulated > n_samples:
+                built = built.head(n_samples)
+            summary = self._summarize(built, confidence)
+            if keep_trajectories:
+                return MonteCarloResult(
+                    summary=summary,
+                    trajectories=tuple(built.to_trajectories()),
+                    batch=built,
+                )
+            return MonteCarloResult(summary=summary, batch=built)
+
+    def _object_batches(
+        self,
+        extractor: Callable[[Trajectory], float],
+        batch_size: int,
+        sink: Callable[[List[Trajectory]], None],
+    ) -> Iterator[List[float]]:
+        """Endless target-value batches of fresh object-engine trajectories."""
+        while True:
+            trajectories = self.sample(batch_size)
+            sink(trajectories)
+            yield [extractor(trajectory) for trajectory in trajectories]
+
+    def _lockstep_batches(
+        self,
+        column: Callable[[TrajectoryBatch], np.ndarray],
+        batch_size: int,
+        sink: TrajectoryAccumulator,
+    ) -> Iterator[List[float]]:
+        """Endless target-value batches cut from whole lockstep chunks.
+
+        Each chunk goes to ``sink`` as soon as it is simulated; a chunk
+        is only simulated when the next batch reaches past the rows
+        already drawn, so at most one chunk's tail is left unobserved.
+        """
+        from repro.simulation.vectorized import VectorizedKernel
+
+        kernel = VectorizedKernel(self.simulator)
+        chunk = self.simulator.config.chunk_trajectories
+        instr = self._resolve_instrumentation()
+        pending = np.empty(0)
+        while True:
+            while len(pending) < batch_size:
+                rows = self._next_chunk(kernel, chunk, instr)
+                sink.add_batch(rows)
+                pending = np.concatenate((pending, column(rows)))
+            yield pending[:batch_size].tolist()
+            pending = pending[batch_size:]
 
     @staticmethod
     def _convergence_event(

@@ -26,6 +26,7 @@ import json
 from typing import Any
 
 from repro._version import __version__
+from repro.simulation.executor import DEFAULT_CHUNK_TRAJECTORIES
 
 __all__ = ["StudyKey", "canonical", "study_material", "CODE_SALT"]
 
@@ -34,12 +35,6 @@ __all__ = ["StudyKey", "canonical", "study_material", "CODE_SALT"]
 _FORMAT_VERSION = 1
 
 CODE_SALT = f"repro-{__version__}/studies-v{_FORMAT_VERSION}"
-
-#: Default vectorized chunk size, mirrored from
-#: :data:`repro.simulation.executor.DEFAULT_CHUNK_TRAJECTORIES` as a
-#: literal so this module stays import-light (a test asserts the two
-#: agree).  Only deviations from it enter the key material.
-_DEFAULT_CHUNK_TRAJECTORIES = 4096
 
 
 def canonical(obj: Any) -> str:
@@ -129,7 +124,7 @@ def study_material(
     confidence: float,
     record_events: bool,
     kernel: str = "object",
-    chunk_trajectories: int = _DEFAULT_CHUNK_TRAJECTORIES,
+    chunk_trajectories: int = DEFAULT_CHUNK_TRAJECTORIES,
 ) -> str:
     """The full canonical material of one study request.
 
@@ -157,7 +152,7 @@ def study_material(
     }
     if kernel != "object":
         material["kernel"] = str(kernel)
-    if int(chunk_trajectories) != _DEFAULT_CHUNK_TRAJECTORIES:
+    if int(chunk_trajectories) != DEFAULT_CHUNK_TRAJECTORIES:
         material["chunk_trajectories"] = int(chunk_trajectories)
     return canonical(material)
 

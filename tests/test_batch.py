@@ -169,6 +169,27 @@ def test_to_trajectories_round_trip(objects):
     _assert_summaries_identical(summarize(objects), summarize(rebuilt))
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(trajectories(), min_size=1, max_size=15), st.data())
+def test_head_equals_batch_of_leading_trajectories(objects, data):
+    n = data.draw(st.integers(min_value=1, max_value=len(objects)))
+    head = TrajectoryBatch.from_trajectories(objects).head(n)
+    prefix = TrajectoryBatch.from_trajectories(objects[:n])
+    np.testing.assert_array_equal(head.failure_times, prefix.failure_times)
+    np.testing.assert_array_equal(head.failure_offsets, prefix.failure_offsets)
+    np.testing.assert_array_equal(head.downtime, prefix.downtime)
+    _assert_summaries_identical(summarize(head), summarize(prefix))
+
+
+def test_head_rejects_out_of_range():
+    batch = TrajectoryBatch.from_trajectories([_trajectory(), _trajectory()])
+    assert len(batch.head(0)) == 0
+    with pytest.raises(ValidationError):
+        batch.head(3)
+    with pytest.raises(ValidationError):
+        batch.head(-1)
+
+
 def test_first_failure_and_counts():
     batch = TrajectoryBatch.from_trajectories(
         [

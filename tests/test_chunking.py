@@ -8,6 +8,8 @@ digests, same cached bytes) when left alone.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,8 @@ def _material(**overrides):
 
 
 def test_default_chunk_matches_executor_default():
-    assert key_mod._DEFAULT_CHUNK_TRAJECTORIES == DEFAULT_CHUNK_TRAJECTORIES
+    parameters = inspect.signature(key_mod.study_material).parameters
+    assert parameters["chunk_trajectories"].default == DEFAULT_CHUNK_TRAJECTORIES
 
 
 def test_default_chunk_leaves_material_untouched():

@@ -5,10 +5,12 @@ in a different order, so the contract is distributional equivalence —
 checked here by the differential harness (KS tests + CI overlap) on the
 paper's model and on hypothesis-generated random trees — plus exact
 bit-identity of the fallback path, which routes through the object
-engine trajectory by trajectory.
+engine trajectory by trajectory, and of sequential stopping, whose rows
+are exactly a prefix of a fixed-count run's rows.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -23,14 +25,22 @@ from repro.maintenance.actions import clean, replace
 from repro.maintenance.costs import CostModel
 from repro.maintenance.modules import InspectionModule, RepairModule
 from repro.maintenance.strategy import MaintenanceStrategy
+from repro.observability import (
+    Instrumentation,
+    JsonlProgressReporter,
+    SpanCollector,
+)
+from repro.observability import spans as sp
 from repro.simulation import compare_kernels
 from repro.simulation.executor import FMTSimulator, SimulationConfig
+from repro.simulation.metrics import summarize
 from repro.simulation.montecarlo import MonteCarlo
 from repro.simulation.parallel import simulate_batch_columns
 from repro.simulation.vectorized import (
     iter_vectorized_batches,
     vectorized_fallback_reason,
 )
+from repro.stats.sequential import RelativePrecisionRule
 
 
 def _simulator(tree, strategy, horizon=20.0, kernel="vectorized", costs=None):
@@ -359,3 +369,170 @@ def test_repair_module_matches_object_engine():
     )
     assert report.fallback_reason is None
     assert report.passed, report.describe()
+
+
+# ----------------------------------------------------------------------
+# Sequential stopping on the lockstep kernel
+# ----------------------------------------------------------------------
+# Small chunks and a batch size that does not divide them, so a run
+# spans several chunks, batches straddle chunk boundaries, and the last
+# chunk's tail is dropped.
+_PRECISION_CHUNK = 250
+_PRECISION_BATCH = 100
+_PRECISION_RULE = RelativePrecisionRule(relative_error=0.1, max_samples=5000)
+
+
+def _precision_driver(seed=2, **kwargs):
+    return MonteCarlo(
+        build_ei_joint_fmt(), current_policy(), horizon=30.0, seed=seed,
+        kernel="vectorized", chunk_trajectories=_PRECISION_CHUNK, **kwargs
+    )
+
+
+def _traced_precision(mc, rule=_PRECISION_RULE, **kwargs):
+    """run_to_precision plus the attributes of its span."""
+    kwargs.setdefault("batch_size", _PRECISION_BATCH)
+    collector = SpanCollector()
+    with sp.use(collector):
+        result = mc.run_to_precision(rule, **kwargs)
+    (record,) = [
+        r for r in collector.records if r["name"] == "mc.run_to_precision"
+    ]
+    return result, record["attributes"]
+
+
+def _assert_batches_equal(left, right):
+    assert len(left) == len(right)
+    for name in ("failure_times", "failure_offsets", "downtime",
+                 "n_inspections", "n_preventive_actions",
+                 "n_corrective_replacements"):
+        np.testing.assert_array_equal(getattr(left, name), getattr(right, name))
+    for name in left.costs:
+        np.testing.assert_array_equal(left.costs[name], right.costs[name])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lockstep_precision_runs_no_object_trajectory(seed, monkeypatch):
+    def object_engine(self, rng):
+        raise AssertionError("run_to_precision ran the object engine")
+
+    monkeypatch.setattr(FMTSimulator, "simulate", object_engine)
+    result = _precision_driver(seed).run_to_precision(
+        _PRECISION_RULE, batch_size=_PRECISION_BATCH
+    )
+    max_samples = _PRECISION_RULE.max_samples
+    assert (
+        result.n_runs % _PRECISION_BATCH == 0 or result.n_runs == max_samples
+    )
+    if result.n_runs < max_samples:
+        # The rule, not the budget, stopped the run.
+        assert (
+            result.summary.expected_failures.relative_half_width
+            <= _PRECISION_RULE.relative_error
+        )
+
+
+def test_lockstep_precision_is_a_prefix_of_run():
+    stopped = _precision_driver().run_to_precision(
+        _PRECISION_RULE, batch_size=_PRECISION_BATCH, keep_trajectories=False
+    )
+    n = stopped.n_runs
+    assert n % _PRECISION_CHUNK != 0, "seed no longer exercises the tail drop"
+    n_chunks = -(-n // _PRECISION_CHUNK)
+    full = _precision_driver().run(n_chunks * _PRECISION_CHUNK)
+    prefix = full.batch.head(n)
+    _assert_batches_equal(stopped.batch, prefix)
+    assert stopped.summary == summarize(prefix)
+
+
+def test_lockstep_precision_watched_matches_silent():
+    silent = _precision_driver().run_to_precision(
+        _PRECISION_RULE, batch_size=_PRECISION_BATCH, keep_trajectories=False
+    )
+    buffer = io.StringIO()
+    watched = _precision_driver().run_to_precision(
+        _PRECISION_RULE,
+        batch_size=_PRECISION_BATCH,
+        keep_trajectories=False,
+        progress=JsonlProgressReporter(stream=buffer),
+    )
+    assert watched.summary == silent.summary
+    _assert_batches_equal(watched.batch, silent.batch)
+    events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    boundaries = [e["completed"] for e in events if not e["done"]]
+    assert boundaries == list(
+        range(_PRECISION_BATCH, silent.n_runs + 1, _PRECISION_BATCH)
+    )
+    assert events[-1]["done"] is True
+    assert events[-1]["completed"] == silent.n_runs
+
+
+def test_lockstep_precision_keep_trajectories_same_summary():
+    kept = _precision_driver().run_to_precision(
+        _PRECISION_RULE, batch_size=_PRECISION_BATCH, keep_trajectories=True
+    )
+    packed = _precision_driver().run_to_precision(
+        _PRECISION_RULE, batch_size=_PRECISION_BATCH, keep_trajectories=False
+    )
+    assert kept.summary == packed.summary
+    assert len(kept.trajectories) == kept.n_runs
+    _assert_batches_equal(kept.batch, packed.batch)
+
+
+def test_lockstep_precision_span_reports_simulated_rows():
+    instr = Instrumentation()
+    result, attributes = _traced_precision(
+        _precision_driver(instrumentation=instr)
+    )
+    assert attributes["kernel"] == "vectorized"
+    assert attributes["n_samples"] == result.n_runs
+    simulated = attributes["n_simulated"]
+    assert simulated % _PRECISION_CHUNK == 0
+    assert 0 < simulated - result.n_runs < _PRECISION_CHUNK
+    counters = instr.registry.to_dict()["counters"]
+    assert counters["sim.trajectories"] == simulated
+
+
+def test_lockstep_precision_respects_max_samples():
+    rule = RelativePrecisionRule(
+        relative_error=1e-12, min_samples=50, max_samples=600
+    )
+    result, attributes = _traced_precision(_precision_driver(), rule)
+    assert result.n_runs == 600
+    assert attributes["n_simulated"] == 750  # three whole chunks
+
+
+def test_lockstep_precision_all_zero_cap_on_vectorizable_model():
+    # No failure can occur in a 1e-9 year horizon, so the all-zero cap,
+    # not the rule, must stop the run.
+    mc = MonteCarlo(
+        _two_event_tree(), MaintenanceStrategy.none(), horizon=1e-9, seed=2,
+        kernel="vectorized", chunk_trajectories=_PRECISION_CHUNK,
+    )
+    assert vectorized_fallback_reason(mc.simulator) is None
+    rule = RelativePrecisionRule(relative_error=0.1, min_samples=50)
+    with pytest.warns(RuntimeWarning, match="zero on all"):
+        result, attributes = _traced_precision(mc, rule, max_zero_samples=300)
+    assert result.n_runs == 300
+    assert result.summary.expected_failures.estimate == 0.0
+    assert attributes["n_simulated"] - result.n_runs < _PRECISION_CHUNK
+
+
+def test_lockstep_precision_fallback_model_matches_object_kernel():
+    module = InspectionModule(
+        "i", period=1.0, targets=["a", "b"], action=clean(),
+        timing="exponential",
+    )
+    strategy = MaintenanceStrategy("s", inspections=(module,))
+    rule = RelativePrecisionRule(relative_error=0.2, max_samples=2000)
+    results = {}
+    for kernel in ("object", "vectorized"):
+        mc = MonteCarlo(_two_event_tree(), strategy, horizon=20.0, seed=3,
+                        kernel=kernel)
+        assert vectorized_fallback_reason(mc.simulator) is not None
+        results[kernel], attributes = _traced_precision(
+            mc, rule, batch_size=50, keep_trajectories=False
+        )
+        assert attributes["kernel"] == "object"
+    assert results["vectorized"].summary == results["object"].summary
+    _assert_batches_equal(results["vectorized"].batch, results["object"].batch)
