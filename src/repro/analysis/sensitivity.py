@@ -72,6 +72,7 @@ def tornado(
     horizon: float = 50.0,
     n_runs: int = 1000,
     seed: int = 0,
+    kernel: str = "object",
 ) -> List[SensitivityEntry]:
     """One-at-a-time sensitivity of a KPI to model parameters.
 
@@ -86,6 +87,9 @@ def tornado(
         Parameter names to perturb, one at a time.
     factor:
         Multiplicative perturbation (> 1), applied both ways.
+    kernel:
+        Sampling kernel of every study (``"auto"`` lets the study
+        runner route them; see :meth:`repro.studies.StudyRunner.resolve`).
 
     Returns
     -------
@@ -110,6 +114,7 @@ def tornado(
                 cost_model=cost_model,
                 seed=seed,
                 n_runs=n_runs,
+                kernel=kernel,
             )
         )
         return kpi(result)

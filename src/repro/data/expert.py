@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from scipy import optimize, stats as sps
+from scipy import optimize, special
 
 from repro.errors import EstimationError
 from repro.stats.distributions import Erlang
@@ -101,12 +101,17 @@ def fit_erlang_to_quantiles(
 
     best: Optional[Tuple[float, int, float]] = None
     for shape in range(1, max_phases + 1):
+        # Erlang quantiles scale with 1/rate, so the unit-rate quantiles
+        # are computed once per phase count.  ``unit * (1/rate)`` is
+        # exactly what ``scipy.stats.gamma.ppf(level, a=shape,
+        # scale=1/rate)`` returns, without its per-call dispatch.
+        unit = [float(special.gammaincinv(shape, level)) for level in levels]
 
-        def residual(log_rate: float, shape: int = shape) -> float:
-            rate = math.exp(log_rate)
+        def residual(log_rate: float, unit: List[float] = unit) -> float:
+            scale = 1.0 / math.exp(log_rate)
             total = 0.0
-            for level, target in zip(levels, targets):
-                predicted = sps.gamma.ppf(level, a=shape, scale=1.0 / rate)
+            for quantile, target in zip(unit, targets):
+                predicted = quantile * scale
                 total += (math.log(predicted) - math.log(target)) ** 2
             return total
 

@@ -123,6 +123,7 @@ def fleet_failures_per_year(
     horizon: float = 25.0,
     n_runs: int = 1000,
     seed: int = 0,
+    kernel: str = "object",
 ) -> Tuple[List[FleetClassResult], float]:
     """Expected fleet-wide system failures per year.
 
@@ -136,6 +137,9 @@ def fleet_failures_per_year(
         The traffic classes; fractions must sum to 1.
     fleet_size:
         Number of joints in the fleet.
+    kernel:
+        Sampling kernel of every class's study (``"auto"`` lets the
+        study runner route them).
 
     Returns
     -------
@@ -166,6 +170,7 @@ def fleet_failures_per_year(
                 horizon=horizon,
                 seed=seed + offset,
                 n_runs=n_runs,
+                kernel=kernel,
             )
         )
         results.append(

@@ -64,6 +64,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=cfg.seed,
                 n_runs=cfg.n_runs,
                 confidence=cfg.confidence,
+                kernel=cfg.kernel,
             )
         )
         current = runner.result(
@@ -74,6 +75,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=cfg.seed,
                 n_runs=cfg.n_runs,
                 confidence=cfg.confidence,
+                kernel=cfg.kernel,
             )
         )
         without = corrective.failures_per_year.estimate

@@ -66,6 +66,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             n_runs=cfg.n_runs,
             confidence=cfg.confidence,
             record_events=True,
+            kernel=cfg.kernel,
         )
         glue_failures = runner.statistic(
             request, "glue_failure_count", _count_glue_failures

@@ -29,18 +29,29 @@ class ExperimentConfig:
 
     ``quick()`` returns a configuration scaled down for smoke tests and
     benchmark runs; headline numbers in EXPERIMENTS.md use the default.
+
+    ``kernel`` is passed to every study the experiments request:
+    ``"auto"`` (the default) lets the study runner route each study to
+    the lockstep kernel where it is eligible (see
+    :meth:`repro.studies.StudyRunner.resolve`); ``"object"`` keeps every
+    study on the event-loop reference engine.
     """
 
     n_runs: int = 2000
     horizon: float = 50.0
     seed: int = 2016
     confidence: float = 0.95
+    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValidationError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.horizon <= 0.0:
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        if self.kernel not in ("auto", "object"):
+            raise ValidationError(
+                f"kernel must be 'auto' or 'object', got {self.kernel!r}"
+            )
 
     def quick(self) -> "ExperimentConfig":
         """A cheap variant for smoke tests (same seed, never more runs).

@@ -79,6 +79,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed,
             n_runs=cfg.n_runs,
             confidence=_CONFIDENCE,
+            kernel=cfg.kernel,
         )
     )
     for t in (2.0, 5.0, _HORIZON):
@@ -94,6 +95,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                     seed=cfg.seed + int(t),
                     n_runs=cfg.n_runs,
                     confidence=_CONFIDENCE,
+                    kernel=cfg.kernel,
                 )
             )
             interval = curve.unreliability
@@ -123,6 +125,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed + 1013,
             n_runs=4 * cfg.n_runs,
             confidence=_CONFIDENCE,
+            kernel=cfg.kernel,
         )
     )
     interval = sim_enf.summary.expected_failures

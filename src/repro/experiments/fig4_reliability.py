@@ -47,6 +47,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed,
             n_runs=cfg.n_runs,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         )
         _, intervals = runner.reliability_curve(request, grid)
         curves.append([interval.estimate for interval in intervals])

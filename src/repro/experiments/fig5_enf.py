@@ -50,6 +50,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=cfg.seed,
                 n_runs=cfg.n_runs,
                 confidence=cfg.confidence,
+                kernel=cfg.kernel,
             )
         )
         result.add_row(

@@ -61,6 +61,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=cfg.seed,
                 n_runs=cfg.n_runs,
                 confidence=cfg.confidence,
+                kernel=cfg.kernel,
             )
         )
         breakdown = sim.summary.cost_breakdown_per_year

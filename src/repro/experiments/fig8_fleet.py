@@ -40,6 +40,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         horizon=cfg.horizon,
         n_runs=cfg.n_runs,
         seed=cfg.seed,
+        kernel=cfg.kernel,
     )
     result = ExperimentResult(
         experiment_id="F8",

@@ -44,6 +44,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         n_runs=cfg.n_runs,
         seed=cfg.seed,
         tolerance=0.25,
+        kernel=cfg.kernel,
     )
     current = get_runner().result(
         StudyRequest(
@@ -54,6 +55,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed,
             n_runs=cfg.n_runs,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         )
     )
 

@@ -71,6 +71,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=cfg.seed,
                 n_runs=2 * cfg.n_runs,
                 confidence=_CONFIDENCE,
+                kernel=cfg.kernel,
             )
         )
         exact = exact_model.unreliability(_HORIZON)
@@ -99,6 +100,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed + 13,
             n_runs=4 * cfg.n_runs,
             confidence=_CONFIDENCE,
+            kernel=cfg.kernel,
         )
     )
     interval = sim_enf.summary.expected_failures

@@ -141,6 +141,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed,
             n_runs=crude_n,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         )
     )
     result.add_row(
@@ -155,6 +156,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             horizon=HORIZON,
             seed=cfg.seed + 1,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         ),
         RareEventConfig(
             method="fixed_effort",
@@ -175,6 +177,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             horizon=HORIZON,
             seed=cfg.seed + 2,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         ),
         RareEventConfig(
             method="restart",
@@ -211,6 +214,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             horizon=HORIZON,
             seed=cfg.seed + 3,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         ),
         RareEventConfig(
             method="fixed_effort",

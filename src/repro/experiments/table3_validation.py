@@ -92,6 +92,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed + 2,
             n_runs=2 * n_joints,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         )
     ).failures_per_year
     truth_enf = runner.result(
@@ -102,6 +103,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             seed=cfg.seed + 3,
             n_runs=2 * n_joints,
             confidence=cfg.confidence,
+            kernel=cfg.kernel,
         )
     ).failures_per_year
 

@@ -50,6 +50,7 @@ def _failure_shares(tree, strategy, cfg) -> Counter:
         n_runs=max(200, cfg.n_runs // 4),
         confidence=cfg.confidence,
         record_events=True,
+        kernel=cfg.kernel,
     )
     return get_runner().statistic(
         request, "failure_shares", _count_failure_shares

@@ -67,6 +67,7 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=cfg.seed + 200 + replicate,
                 n_runs=n_joints,
                 confidence=cfg.confidence,
+                kernel=cfg.kernel,
             )
         ).failures_per_year
         predictions.append(prediction.estimate)

@@ -109,6 +109,7 @@ def optimize_frequency(
     seed: int = 0,
     tolerance: float = 0.25,
     max_evaluations: int = 40,
+    kernel: str = "object",
 ) -> PolicyEvaluation:
     """Golden-section search for the cost-minimal strategy parameter.
 
@@ -149,6 +150,7 @@ def optimize_frequency(
                     cost_model=cost_model,
                     seed=seed,
                     n_runs=n_runs,
+                    kernel=kernel,
                 )
             )
             evaluations[x] = result

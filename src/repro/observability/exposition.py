@@ -52,10 +52,13 @@ _HELP: Dict[str, str] = {
     "sim.trajectories": "completed simulate() calls",
     "sim.system_failures": "top-event occurrences",
     "sim.simulate.seconds": "wall time per simulated trajectory",
+    "sim.chunk.seconds": "wall time per lockstep chunk (vectorized kernel)",
     "mc.summarize.seconds": "KPI aggregation time per run",
     "sim.workers": "distinct worker processes that returned chunks",
     "study.requests": "artifact requests seen by the study runner",
     "study.fresh_trajectories": "trajectories simulated (not cache-served)",
+    "study.kernel_auto_vectorized": "kernel=auto requests routed to lockstep",
+    "study.kernel_auto_object": "kernel=auto requests routed to object",
 }
 
 

@@ -49,6 +49,8 @@ SIM_RDEP_ACCELERATIONS = "sim.rdep_accelerations"
 SIM_SYSTEM_FAILURES = "sim.system_failures"
 SIM_SYSTEM_RESTORATIONS = "sim.system_restorations"
 TIMER_SIMULATE = "sim.simulate.seconds"
+# One lockstep chunk of the vectorized kernel (a whole batch of rows).
+TIMER_CHUNK = "sim.chunk.seconds"
 TIMER_SUMMARIZE = "mc.summarize.seconds"
 # Worker-pool round-trip (repro.simulation.parallel): the driver folds
 # each returning chunk's worker-side registry into the parent one and
@@ -73,6 +75,9 @@ STUDY_FRESH_TRAJECTORIES = "study.fresh_trajectories"
 STUDY_DISK_WRITES = "study.disk_writes"
 STUDY_DISK_CORRUPT = "study.disk_corrupt"
 STUDY_MEMO_EVICTIONS = "study.memo_evictions"
+# Kernel routing: requests with kernel="auto" and where they went.
+STUDY_KERNEL_AUTO_VECTORIZED = "study.kernel_auto_vectorized"
+STUDY_KERNEL_AUTO_OBJECT = "study.kernel_auto_object"
 
 
 class Instrumentation:

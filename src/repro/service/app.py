@@ -36,8 +36,6 @@ out); :func:`serve_app` mounts it on the shared
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.observability.exposition import CONTENT_TYPE, render_prometheus
@@ -56,10 +54,6 @@ __all__ = ["StudyService", "serve_app"]
 
 _JSON = "application/json"
 _NDJSON = "application/x-ndjson"
-
-#: Kernel-routing memo bound (simulator-material digests retained).
-_FALLBACK_MEMO_MAX = 256
-_UNCLASSIFIED = object()
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -128,11 +122,6 @@ class StudyService:
             workers=workers,
             retry_after=retry_after,
         )
-        # simulator-material digest -> vectorized fallback reason (or
-        # None).  The classification is a pure function of the model,
-        # so repeat submissions skip the prototype walk entirely.
-        self._fallback_memo: "OrderedDict[str, Optional[str]]" = OrderedDict()
-        self._fallback_memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Routing
@@ -182,11 +171,12 @@ class StudyService:
         except WireError as exc:
             self.instrumentation.count("service.bad_requests")
             return _error(400, str(exc), schema_version=WIRE_SCHEMA_VERSION)
-        payload_fields = data.get("payload")
-        request, kernel_fallback = self._route_kernel(
-            request,
-            payload_fields if isinstance(payload_fields, dict) else {},
-        )
+        # A payload without a kernel field decodes as kernel="auto";
+        # the runner's router picks the kernel before the key exists.
+        auto = request.kernel == "auto"
+        request, kernel_fallback = self.runner.resolve(request)
+        if auto and request.kernel == "vectorized":
+            self.instrumentation.count("service.kernel_upgrades")
         digest = request.key().digest
         # Cache fast path: the StudyKey digest is the HTTP cache key.
         # A hit is answered on the request thread — no queue, no job.
@@ -233,56 +223,6 @@ class StudyService:
                 "events": f"/v1/studies/{job.id}/events",
             },
         )
-
-    def _route_kernel(
-        self, request: StudyRequest, payload: Dict[str, Any]
-    ) -> Tuple[StudyRequest, Optional[str]]:
-        """Default eligible submissions to the vectorized kernel.
-
-        A submission that *names* a kernel keeps it — explicit choice
-        wins.  One that omits the field is upgraded to the lockstep
-        kernel when :func:`~repro.simulation.vectorized.
-        vectorized_fallback_reason` clears the model, and left on the
-        object engine (with the reason surfaced) otherwise.  The
-        rewrite happens before the study key is computed, so the
-        upgraded request gets the vectorized cache namespace — it
-        never aliases object-engine artifacts.
-        """
-        from dataclasses import replace
-
-        from repro.simulation.vectorized import vectorized_fallback_reason
-        from repro.studies.key import StudyKey
-
-        explicit = "kernel" in payload
-        if explicit and request.kernel != "vectorized":
-            return request, None
-        try:
-            material = StudyKey.from_material(
-                request.simulator_material()
-            ).digest
-            with self._fallback_memo_lock:
-                memoized = self._fallback_memo.get(material, _UNCLASSIFIED)
-            if memoized is not _UNCLASSIFIED:
-                reason = memoized
-            else:
-                reason = vectorized_fallback_reason(
-                    self.runner.prototype(request)
-                )
-                with self._fallback_memo_lock:
-                    while len(self._fallback_memo) >= _FALLBACK_MEMO_MAX:
-                        self._fallback_memo.popitem(last=False)
-                    self._fallback_memo[material] = reason
-        except Exception:
-            # A model the simulator rejects fails identically on either
-            # kernel; let the job (or the synchronous cache path)
-            # surface the real error.
-            return request, None
-        if explicit:
-            return request, reason
-        if reason is not None:
-            return request, reason
-        self.instrumentation.count("service.kernel_upgrades")
-        return replace(request, kernel="vectorized"), None
 
     def _status(self, job_id: str) -> HttpResponse:
         job = self.jobs.get(job_id)

@@ -62,7 +62,7 @@ class Job:
     Status moves ``queued`` → ``running`` → ``done`` | ``failed``.
     ``result`` holds the :class:`KpiSummary` once done; ``events`` the
     progress records collected while running.  ``kernel`` is the
-    sampling kernel the job runs on (after any service-side routing)
+    sampling kernel the job runs on (after the runner's routing)
     and ``kernel_fallback`` the reason a vectorized run will fall back
     to the object engine, when known.  All fields are written by
     exactly one worker thread and read by HTTP threads; the

@@ -171,8 +171,9 @@ class MonteCarlo:
     instrumentation:
         Optional :class:`~repro.observability.instrumentation.Instrumentation`
         collecting simulation counters plus the ``sim.simulate.seconds``
-        and ``mc.summarize.seconds`` timers.  Observational only — KPIs
-        are bit-identical with or without it.  Falls back to the
+        (object-engine trajectories), ``sim.chunk.seconds`` (lockstep
+        chunks) and ``mc.summarize.seconds`` timers.  Observational
+        only — KPIs are bit-identical with or without it.  Falls back to the
         ambient instrumentation (:func:`repro.observability.current`)
         when None.
     simulator:
@@ -294,9 +295,12 @@ class MonteCarlo:
     ) -> TrajectoryBatch:
         """Simulate one lockstep chunk of ``size`` rows on the next child
         stream — the one seed scheme of serial vectorized runs."""
-        chunk = kernel.simulate_chunk(size, self._next_rng(), progress=progress)
-        if instr is not None:
-            instr.count(_obs.SIM_TRAJECTORIES, size)
+        rng = self._next_rng()
+        if instr is None:
+            return kernel.simulate_chunk(size, rng, progress=progress)
+        with instr.timer(_obs.TIMER_CHUNK).time():
+            chunk = kernel.simulate_chunk(size, rng, progress=progress)
+        instr.count(_obs.SIM_TRAJECTORIES, size)
         return chunk
 
     def _resolve_instrumentation(self) -> Optional[Instrumentation]:

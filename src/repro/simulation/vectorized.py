@@ -1297,8 +1297,11 @@ def iter_vectorized_batches(
             batch = accumulator.finalize()
         else:
             rng = np.random.default_rng(chunk[0].spawn(1)[0])
-            batch = kernel.simulate_chunk(len(chunk), rng)
-            if instr is not None:
+            if instr is None:
+                batch = kernel.simulate_chunk(len(chunk), rng)
+            else:
+                with instr.timer(_obs.TIMER_CHUNK).time():
+                    batch = kernel.simulate_chunk(len(chunk), rng)
                 instr.count(_obs.SIM_TRAJECTORIES, len(chunk))
         yield batch
 

@@ -30,7 +30,9 @@ also satisfies ``fig5``'s.
 Cache behaviour surfaces through the PR-1 instrumentation counters
 (``study.requests``, ``study.memo_hits``, ``study.disk_hits``,
 ``study.misses``, ``study.fresh_trajectories``, ``study.disk_writes``,
-``study.disk_corrupt``, ``study.memo_evictions``); the CLI's
+``study.disk_corrupt``, ``study.memo_evictions``, and the kernel
+router's ``study.kernel_auto_vectorized`` /
+``study.kernel_auto_object``); the CLI's
 ``--metrics-out`` makes them machine-checkable, which is how CI
 asserts that a warm-cache rerun simulates nothing.
 """
@@ -41,7 +43,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -109,6 +111,11 @@ class StudyRequest:
     MonteCarlo` constructor plus the replication knobs; together they
     determine the simulated trajectories and the KPI aggregation
     exactly, which is what makes the request content-addressable.
+
+    ``kernel`` is ``"object"``, ``"vectorized"`` or ``"auto"``.  An
+    ``"auto"`` request lets the runner pick (:meth:`StudyRunner.
+    resolve`); it has no key of its own, and once resolved it hashes
+    exactly like an explicit request on the chosen kernel.
     """
 
     tree: FaultMaintenanceTree
@@ -135,8 +142,20 @@ class StudyRequest:
                 f"got {self.chunk_trajectories}"
             )
 
+    def _require_resolved(self) -> None:
+        if self.kernel == "auto":
+            raise ValidationError(
+                "kernel='auto' has no study key; resolve the request with "
+                "StudyRunner.resolve first"
+            )
+
     def key(self) -> StudyKey:
-        """The content address of this request (computed per call)."""
+        """The content address of this request (computed per call).
+
+        Raises :class:`~repro.errors.ValidationError` for an unresolved
+        ``kernel="auto"`` request, so ``"auto"`` never reaches a digest.
+        """
+        self._require_resolved()
         return StudyKey.from_material(
             study_material(
                 tree=self.tree,
@@ -159,6 +178,7 @@ class StudyRequest:
         requests that agree on this material can serve their runs from
         clones of one validated simulator prototype.
         """
+        self._require_resolved()
         return study_material(
             tree=self.tree,
             strategy=self.strategy,
@@ -224,7 +244,9 @@ class StudyRequest:
             n_runs=int(data.get("n_runs", 1)),
             confidence=float(data.get("confidence", 0.95)),
             record_events=bool(data.get("record_events", False)),
-            kernel=str(data.get("kernel", "object")),
+            # A payload that names no kernel leaves the choice to the
+            # runner's router.
+            kernel=str(data.get("kernel", "auto")),
             chunk_trajectories=int(
                 data.get("chunk_trajectories", DEFAULT_CHUNK_TRAJECTORIES)
             ),
@@ -269,6 +291,32 @@ class StudyRequest:
             kernel=self.kernel,
             chunk_trajectories=self.chunk_trajectories,
         )
+
+
+class _Prototype:
+    """A validated simulator prototype and its lockstep classification.
+
+    The classification (:func:`~repro.simulation.vectorized.
+    vectorized_fallback_reason`) is a pure function of the prototype,
+    so it is computed on first use and kept for the entry's lifetime.
+    """
+
+    __slots__ = ("simulator", "_reason", "_classified")
+
+    def __init__(self, simulator: FMTSimulator):
+        self.simulator = simulator
+        self._reason: Optional[str] = None
+        self._classified = False
+
+    def fallback_reason(self) -> Optional[str]:
+        if not self._classified:
+            # Imported lazily: the lockstep kernel stays out of the
+            # import path of processes that never route to it.
+            from repro.simulation.vectorized import vectorized_fallback_reason
+
+            self._reason = vectorized_fallback_reason(self.simulator)
+            self._classified = True
+        return self._reason
 
 
 class StudyRunner:
@@ -324,7 +372,7 @@ class StudyRunner:
         self.max_memo_entries = max_memo_entries
         self.instrumentation = instrumentation
         self._memo: "OrderedDict[str, Any]" = OrderedDict()
-        self._prototypes: "OrderedDict[str, FMTSimulator]" = OrderedDict()
+        self._prototypes: "OrderedDict[str, _Prototype]" = OrderedDict()
         # The HTTP service shares one runner across worker threads;
         # the LRU bookkeeping (move_to_end + eviction) is not atomic,
         # so cache-structure mutations take this lock.  Simulation
@@ -337,8 +385,54 @@ class StudyRunner:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def resolve(
+        self, request: StudyRequest, artifact: str = "summary"
+    ) -> Tuple[StudyRequest, Optional[str]]:
+        """The request on a concrete kernel, plus why it is not lockstep.
+
+        This is the one kernel-routing rule; every entry point applies
+        it before computing a key.  ``kernel="auto"`` becomes
+        ``"vectorized"`` only when the model passes
+        :func:`~repro.simulation.vectorized.vectorized_fallback_reason`,
+        ``record_events`` is off, ``artifact`` is not ``"rare_event"``,
+        and the study runs in-process (no pool, or ``n_runs`` below
+        ``parallel_threshold`` — pooled lockstep answers still depend
+        on the process count).  Otherwise it becomes ``"object"`` and
+        the reason is returned.  An explicit kernel is kept; for
+        ``"vectorized"`` the reason its driver will fall back to the
+        object engine, if any, is returned.  The resolved request is
+        ``replace(request, kernel=...)``, so it shares the cache
+        entries of an explicit request on that kernel.
+
+        A model the simulator rejects routes to ``"object"``, with the
+        rejection as the reason; running the study raises the error.
+        """
+        if request.kernel == "vectorized":
+            return request, self._fallback_reason(request)
+        if request.kernel != "auto":
+            return request, None
+        if request.record_events:
+            reason = "record_events needs the object kernel's event streams"
+        elif artifact == "rare_event":
+            reason = "rare-event splitting runs on the object engine"
+        elif self._pooled(request):
+            reason = (
+                f"pooled study ({request.n_runs} runs >= parallel_threshold "
+                f"{self.parallel_threshold}): lockstep answers still depend "
+                "on the process count"
+            )
+        else:
+            candidate = replace(request, kernel="vectorized")
+            reason = self._fallback_reason(candidate)
+            if reason is None:
+                self._count(_obs.STUDY_KERNEL_AUTO_VECTORIZED)
+                return candidate, None
+        self._count(_obs.STUDY_KERNEL_AUTO_OBJECT)
+        return replace(request, kernel="object"), reason
+
     def summary(self, request: StudyRequest) -> KpiSummary:
         """KPI summary of the study (cached)."""
+        request = self._resolved(request)
 
         def compute() -> Tuple[KpiSummary, Dict[StudyKey, Any], int]:
             result = self._simulate(request, keep_trajectories=False)
@@ -356,7 +450,7 @@ class StudyRunner:
         because the caller is expected to follow up with
         :meth:`summary` (which records the miss).
         """
-        key = request.key().derive("summary", None)
+        key = self._resolved(request).key().derive("summary", None)
         hit, value = self._memo_get(key.digest)
         if hit:
             self._count(_obs.STUDY_REQUESTS)
@@ -386,6 +480,7 @@ class StudyRunner:
         self, request: StudyRequest, times: Sequence[float]
     ) -> Tuple[np.ndarray, List[ConfidenceInterval]]:
         """Survival curve of the study on ``times`` (cached per grid)."""
+        request = self._resolved(request)
         grid = [float(t) for t in times]
         base = request.key()
 
@@ -423,6 +518,7 @@ class StudyRunner:
         whenever the reduction's semantics change, or stale disk
         entries would be served for the new code.
         """
+        request = self._resolved(request)
 
         def compute() -> Tuple[Any, Dict[StudyKey, Any], int]:
             result = self._simulate(request, keep_trajectories=True)
@@ -447,6 +543,7 @@ class StudyRunner:
         ``n_runs=1`` so unrelated replication knobs do not fracture
         the key.
         """
+        request = self._resolved(request, "rare_event")
 
         def compute() -> Tuple[Any, Dict[StudyKey, Any], int]:
             driver = request.driver(simulator=self._prototype(request))
@@ -565,45 +662,59 @@ class StudyRunner:
                     self._store(sibling_key, sibling_value)
             return value
 
-    def prototype(self, request: StudyRequest) -> FMTSimulator:
-        """The cached validated simulator for ``request``'s material.
+    def _resolved(
+        self, request: StudyRequest, artifact: str = "summary"
+    ) -> StudyRequest:
+        """:meth:`resolve` without classifying explicit kernels."""
+        if request.kernel != "auto":
+            return request
+        return self.resolve(request, artifact)[0]
 
-        Public accessor for callers (the service's kernel router) that
-        need to inspect a validated simulator without running a study;
-        shares the same LRU as the study path, so the inspection is
-        free for any model the runner will simulate anyway.
-        """
-        return self._prototype(request)
+    def _pooled(self, request: StudyRequest) -> bool:
+        """Whether the study fans out to the shared pool."""
+        return (
+            self._pool is not None
+            and request.n_runs >= self.parallel_threshold
+        )
+
+    def _fallback_reason(self, request: StudyRequest) -> Optional[str]:
+        """The prototype's lockstep classification (memoized with it)."""
+        try:
+            return self._prototype_entry(request).fallback_reason()
+        except Exception as exc:
+            # The study itself will raise the same error on any kernel.
+            return f"the simulator rejects the model: {exc}"
 
     def _prototype(self, request: StudyRequest) -> FMTSimulator:
+        return self._prototype_entry(request).simulator
+
+    def _prototype_entry(self, request: StudyRequest) -> "_Prototype":
         """The cached simulator prototype for the request's material.
 
         Keyed by :meth:`StudyRequest.simulator_material`, so every
-        (tree, strategy, horizon, cost model) combination validates its
-        tree and builds its static tables once per runner; each study
+        (tree, strategy, horizon, cost model, kernel) combination
+        validates its tree and builds its static tables once per
+        runner, and the router classifies it at most once; each study
         then clones the prototype (per-run state is never shared).
         """
         digest = StudyKey.from_material(request.simulator_material()).digest
         with self._lock:
-            prototype = self._prototypes.get(digest)
-            if prototype is not None:
+            entry = self._prototypes.get(digest)
+            if entry is not None:
                 self._prototypes.move_to_end(digest)
-                return prototype
-        prototype = request.build_simulator()
+                return entry
+        entry = _Prototype(request.build_simulator())
         with self._lock:
             while len(self._prototypes) >= DEFAULT_MAX_PROTOTYPES:
                 self._prototypes.popitem(last=False)
-            self._prototypes[digest] = prototype
-        return prototype
+            self._prototypes[digest] = entry
+        return entry
 
     def _simulate(
         self, request: StudyRequest, keep_trajectories: bool
     ) -> MonteCarloResult:
         driver = request.driver(simulator=self._prototype(request))
-        if (
-            self._pool is not None
-            and request.n_runs >= self.parallel_threshold
-        ):
+        if self._pooled(request):
             return driver.run_parallel(
                 request.n_runs,
                 confidence=request.confidence,

@@ -142,11 +142,38 @@ def test_profile_and_metrics_out(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "== profile ==" in out
-    assert "sim.simulate.seconds" in out
+    # fig5's studies are routed to the lockstep kernel, which times
+    # whole chunks rather than single trajectories.
+    assert "sim.chunk.seconds" in out
     assert "wall time:" in out  # per-experiment timing surfaced as a note
     metrics = json.loads(metrics_path.read_text())
     assert metrics["counters"]["sim.trajectories"] > 0
+    assert metrics["counters"]["study.kernel_auto_vectorized"] > 0
+    assert metrics["timers"]["sim.chunk.seconds"]["count"] > 0
     assert metrics["timers"]["experiment.fig5.seconds"]["count"] == 1
+
+
+def test_profile_object_kernel_times_trajectories(
+    tmp_path, capsys, maintained_tree
+):
+    import json
+
+    path = tmp_path / "m.fmt"
+    save_file(maintained_tree, path)
+    metrics_path = tmp_path / "m.json"
+    code = main(
+        [
+            "simulate", str(path), "--runs", "50", "--horizon", "10",
+            "--kernel", "object", "--profile",
+            "--metrics-out", str(metrics_path),
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "sim.simulate.seconds" in out
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics["timers"]["sim.simulate.seconds"]["count"] == 50
+    assert "sim.chunk.seconds" not in metrics["timers"]
 
 
 def test_no_profile_keeps_output_clean(capsys):

@@ -7,6 +7,7 @@ benchmark runs use the full configuration.
 """
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -38,6 +39,12 @@ from repro.experiments import (
 )
 
 CFG = ExperimentConfig(n_runs=400, horizon=40.0, seed=7)
+
+# The paper's simulation claims (F5, F6, OPT, T3, A3, A5) are checked on
+# both kernels: the named tests run the default ``kernel="auto"``, which
+# routes eligible studies to the lockstep kernel, and
+# ``test_paper_claims_on_object_kernel`` repeats every check with
+# ``kernel="object"``.  The bounds are the same for both.
 
 
 def _estimate(cell: str) -> float:
@@ -120,8 +127,10 @@ def test_table2_includes_current_policy():
     assert "current-policy" in result.column("strategy")
 
 
-def test_table3_validation_agrees():
-    result = table3_validation.run(ExperimentConfig(n_runs=800, seed=3))
+def _table3_claims(kernel):
+    result = table3_validation.run(
+        ExperimentConfig(n_runs=800, seed=3, kernel=kernel)
+    )
     assert any("AGREE" in note for note in result.notes)
     # Every mode is fitted within a factor ~2 of the truth.
     for true_text, fitted_text in zip(
@@ -129,6 +138,10 @@ def test_table3_validation_agrees():
     ):
         ratio = float(fitted_text) / float(true_text)
         assert 0.3 < ratio < 3.0
+
+
+def test_table3_validation_agrees():
+    _table3_claims("auto")
 
 
 def test_fig4_reliability_shape():
@@ -142,8 +155,8 @@ def test_fig4_reliability_shape():
     assert current[-1] > unmaintained[-1]
 
 
-def test_fig5_enf_decreases_with_inspections():
-    result = fig5_enf.run(CFG)
+def _fig5_claims(kernel):
+    result = fig5_enf.run(replace(CFG, kernel=kernel))
     enf = [_estimate(cell) for cell in result.column("ENF per year")]
     # Steep drop from corrective-only to 1x/yr; saturating thereafter.
     assert enf[1] < enf[0] / 2.5
@@ -152,8 +165,12 @@ def test_fig5_enf_decreases_with_inspections():
     assert any("floor" in note for note in result.notes)
 
 
-def test_fig6_cost_u_shape():
-    result = fig6_cost.run(CFG)
+def test_fig5_enf_decreases_with_inspections():
+    _fig5_claims("auto")
+
+
+def _fig6_claims(kernel):
+    result = fig6_cost.run(replace(CFG, kernel=kernel))
     totals = [float(cell) for cell in result.column("TOTAL")]
     frequencies = [float(cell) for cell in result.column("inspections/yr")]
     # Corrective-only is the most expensive; the interior has a minimum
@@ -164,6 +181,10 @@ def test_fig6_cost_u_shape():
     optimum = frequencies[totals.index(min(totals))]
     assert 1.0 <= optimum <= 8.0
     assert any("optim" in note for note in result.notes)
+
+
+def test_fig6_cost_u_shape():
+    _fig6_claims("auto")
 
 
 def test_fig7_renewal_does_not_pay():
@@ -207,9 +228,15 @@ def test_ablation_detection_monotone():
     assert enf[-1] > enf[0]
 
 
-def test_ctmc_crossval_all_within_ci():
-    result = ctmc_crossval.run(ExperimentConfig(n_runs=2000, seed=11))
+def _ctmc_crossval_claims(kernel):
+    result = ctmc_crossval.run(
+        ExperimentConfig(n_runs=2000, seed=11, kernel=kernel)
+    )
     assert all(cell == "yes" for cell in result.column("within CI"))
+
+
+def test_ctmc_crossval_all_within_ci():
+    _ctmc_crossval_claims("auto")
 
 
 def test_table4_importance_shapes():
@@ -242,16 +269,44 @@ def test_sensitivity_sorted_by_swing():
     assert len(result.rows) == 11
 
 
-def test_optimum_close_to_current():
-    result = optimum.run(ExperimentConfig(n_runs=300, horizon=40.0, seed=5))
+def _optimum_claims(kernel):
+    result = optimum.run(
+        ExperimentConfig(n_runs=300, horizon=40.0, seed=5, kernel=kernel)
+    )
     frequency = float(result.rows[0][1])
     assert 1.0 <= frequency <= 9.0
     assert any("close to cost-optimal" in note for note in result.notes)
 
 
-def test_periodic_crossval_all_within_ci():
-    result = periodic_crossval.run(ExperimentConfig(n_runs=1500, seed=19))
+def test_optimum_close_to_current():
+    _optimum_claims("auto")
+
+
+def _periodic_crossval_claims(kernel):
+    result = periodic_crossval.run(
+        ExperimentConfig(n_runs=1500, seed=19, kernel=kernel)
+    )
     assert all(cell == "yes" for cell in result.column("within CI"))
+
+
+def test_periodic_crossval_all_within_ci():
+    _periodic_crossval_claims("auto")
+
+
+@pytest.mark.parametrize(
+    "claims",
+    [
+        _fig5_claims,
+        _fig6_claims,
+        _optimum_claims,
+        _table3_claims,
+        _ctmc_crossval_claims,
+        _periodic_crossval_claims,
+    ],
+    ids=["F5", "F6", "OPT", "T3", "A3", "A5"],
+)
+def test_paper_claims_on_object_kernel(claims):
+    claims("object")
 
 
 def test_rareevent_regimes_and_agreement():

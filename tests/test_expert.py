@@ -94,3 +94,58 @@ def test_fit_needs_two_quantiles():
 def test_fit_rejects_nonpositive_values():
     with pytest.raises(EstimationError):
         fit_erlang_to_quantiles({0.05: 0.0, 0.5: 1.0})
+
+
+def _reference_fit(quantiles, max_phases=12):
+    """The fit with a ``scipy.stats.gamma.ppf`` residual, as it was
+    written before the unit-rate quantiles were hoisted."""
+    import math
+
+    from scipy import optimize
+
+    from repro.stats.distributions import Erlang
+
+    levels = sorted(quantiles)
+    targets = [quantiles[level] for level in levels]
+    best = None
+    for shape in range(1, max_phases + 1):
+
+        def residual(log_rate, shape=shape):
+            rate = math.exp(log_rate)
+            total = 0.0
+            for level, target in zip(levels, targets):
+                predicted = sps.gamma.ppf(level, a=shape, scale=1.0 / rate)
+                total += (math.log(predicted) - math.log(target)) ** 2
+            return total
+
+        median_target = targets[len(targets) // 2]
+        rough_rate = shape / max(median_target, 1e-12)
+        result = optimize.minimize_scalar(
+            residual,
+            bracket=(math.log(rough_rate) - 2.0, math.log(rough_rate) + 2.0),
+        )
+        if not result.success:
+            continue
+        score = float(result.fun)
+        if best is None or score < best[0]:
+            best = (score, shape, math.exp(float(result.x)))
+    return Erlang(shape=best[1], rate=best[2])
+
+
+@pytest.mark.parametrize(
+    "quantiles",
+    [
+        _true_quantiles(1, 5.0),
+        _true_quantiles(3, 12.0),
+        _true_quantiles(6, 40.0, levels=(0.1, 0.25, 0.5, 0.75, 0.9)),
+        {level: v * 1.03 for level, v in _true_quantiles(4, 8.0).items()},
+        {0.05: 2.0, 0.5: 9.0, 0.95: 30.0},
+        {0.1: 0.4, 0.9: 1.7},
+    ],
+)
+def test_fit_bit_identical_to_gamma_ppf_residual(quantiles):
+    fit = fit_erlang_to_quantiles(quantiles)
+    reference = _reference_fit(quantiles)
+    assert fit.shape == reference.shape
+    assert fit.rate == reference.rate
+    assert fit == reference

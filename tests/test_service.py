@@ -498,3 +498,26 @@ def test_upgraded_submission_matches_in_process_vectorized(simple_or_tree):
         assert encode_wire(job.result) == encode_wire(expected)
     finally:
         service.close()
+
+
+def test_omitted_kernel_with_record_events_runs_on_object(
+    service, simple_or_tree
+):
+    # A kernel-less submission that records events cannot ride the
+    # lockstep kernel: the router keeps it on the object engine instead
+    # of upgrading it into a job that fails validation.
+    request = _request(simple_or_tree, n_runs=20, seed=76, record_events=True)
+    response = _submit(service, request, raw=_raw_submission(request))
+    assert response.status == 202
+    submitted = json.loads(response.body)
+    assert submitted["kernel"] == "object"
+    assert "event" in submitted["kernel_fallback_reason"]
+    assert submitted["study_key"] == request.key().digest
+
+    _wait_done(service, submitted["job_id"])
+    status = json.loads(
+        service.handle("GET", submitted["location"], {}, b"").body
+    )
+    assert status["status"] == "done", status.get("error")
+    assert status["kernel"] == "object"
+    assert "event" in status["kernel_fallback_reason"]
