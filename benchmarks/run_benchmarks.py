@@ -101,12 +101,13 @@ def _vectorized_workload(strategy_factory, horizon: float = 50.0, chunk=None):
 def _vectorized_parallel_workload(
     strategy_factory, horizon: float = 50.0, chunk=None, processes: int = 2
 ):
-    """Vectorized kernel fanned out over the shared-memory worker path.
+    """Vectorized kernel fanned out over worker processes.
 
-    Workers run the lockstep kernel on their seed chunks and scatter
-    packed KPI columns straight into a shared-memory segment (zero-copy
-    fold); the driver gathers once.  End-to-end including pool startup,
-    so the number is what ``run_parallel`` actually delivers.
+    Each worker task is one whole chunk of the run's lockstep chunk
+    plan (``chunk_trajectories`` rows); its batch comes back pickled
+    and the driver folds the batches in plan order.  End-to-end
+    including pool startup, so the number is what ``run_parallel``
+    actually delivers.
     """
     from repro.eijoint import build_ei_joint_fmt, default_cost_model
     from repro.simulation.montecarlo import MonteCarlo
@@ -273,7 +274,7 @@ def build_workloads(quick: bool = False) -> Dict[str, Dict[str, object]]:
         },
         # Vectorized-kernel counterparts of the object workloads.  The
         # larger batch size reflects the kernel's lockstep chunking
-        # (DEFAULT_CHUNK_TRAJECTORIES = 4096); CI gates a minimum
+        # (DEFAULT_CHUNK_TRAJECTORIES = 10,000); CI gates a minimum
         # speedup of these over the object workloads via
         # compare_bench.py --require-speedup.
         "eijoint-unmaintained-vectorized": {
@@ -291,14 +292,28 @@ def build_workloads(quick: bool = False) -> Dict[str, Dict[str, object]]:
             "batch_size": vec_size,
             "repeats": vec_repeats,
         },
-        # Zero-copy shared-memory fan-out of the same workload: workers
-        # scatter packed columns into one segment, the driver gathers
-        # once.  Fixed full sizing (like the other vectorized
-        # workloads) so quick CI measures the same fan-out.
+        # The same workload at the default chunk size, which is what
+        # studies and the service run.
+        "eijoint-current-policy-vectorized-default": {
+            "batch": _vectorized_workload(current_policy),
+            "batch_size": vec_size,
+            "repeats": vec_repeats,
+        },
+        # Fan-out of the same workload over 2 worker processes.  Each
+        # worker task is one plan chunk, so at chunk=20000 the whole
+        # batch is a single worker task by construction; the -default
+        # variant splits it into two 10,000-row tasks.  Fixed full
+        # sizing (like the other vectorized workloads) so quick CI
+        # measures the same fan-out.
         "eijoint-current-policy-vectorized-parallel": {
             "batch": _vectorized_parallel_workload(
                 current_policy, chunk=vec_size
             ),
+            "batch_size": vec_size,
+            "repeats": vec_repeats,
+        },
+        "eijoint-current-policy-vectorized-parallel-default": {
+            "batch": _vectorized_parallel_workload(current_policy),
             "batch_size": vec_size,
             "repeats": vec_repeats,
         },

@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="trajectories simulated per vectorized chunk (default "
-        "4096; one RNG stream per chunk, so a non-default size "
+        "10000; one RNG stream per chunk, so a non-default size "
         "changes the sampled trajectories and the study cache key)",
     )
 

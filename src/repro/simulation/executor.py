@@ -77,12 +77,14 @@ _PRIO_INSPECTION = 3
 _PRIO_ACTION = 4
 
 #: Default trajectories simulated per lockstep pass of the vectorized
-#: kernel.  Large enough to amortize the per-epoch numpy dispatch
-#: overhead, small enough that the per-event jump matrices stay
-#: cache-friendly (~1 MB per 4096-row chunk on the EI-joint model).
-#: Lives here (not in :mod:`repro.simulation.vectorized`) so the config
-#: dataclass can reference it without a circular import.
-DEFAULT_CHUNK_TRAJECTORIES = 4096
+#: kernel.  A chunk's cost is mostly its walk over the calendar epochs,
+#: so larger chunks amortize it: end-to-end on the EI-joint current
+#: policy (2 vCPU), 14.5k traj/s at 4,096 rows, 20.0k at 10,000 and
+#: 26.6k at 20,000 (docs/performance.md, "One chunk plan").  10,000
+#: takes most of that gain while keeping a pooled chunk's pickled batch
+#: under ~1 MB.  Lives here (not in :mod:`repro.simulation.vectorized`)
+#: so the config dataclass can reference it without a circular import.
+DEFAULT_CHUNK_TRAJECTORIES = 10_000
 
 
 @dataclass(frozen=True)

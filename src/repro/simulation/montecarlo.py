@@ -5,15 +5,17 @@ seed expands via :class:`numpy.random.SeedSequence` into independent
 child RNG streams, spawned in order.  The object engine takes one
 stream per trajectory, so its results are invariant to batching.  The
 lockstep vectorized kernel takes one stream per chunk of
-``chunk_trajectories`` rows, so its results are reproducible for a
-fixed seed and chunk size, but a different chunk size samples
-different trajectories.
+``chunk_trajectories`` rows (:func:`~repro.simulation.vectorized.
+lockstep_plan`), so its results are reproducible for a fixed seed and
+chunk size, but a different chunk size samples different trajectories.
+On either kernel, serial and parallel runs are bit-identical at any
+process count.
 
 Two modes are provided: a fixed replication count (:meth:`MonteCarlo.run`)
 and sequential estimation to a target relative precision
 (:meth:`MonteCarlo.run_to_precision`), mirroring the statistical
-model-checking workflow the paper's analyses used.  Both draw serial
-vectorized chunks through :meth:`MonteCarlo._next_chunk`, so a
+model-checking workflow the paper's analyses used.  Both draw
+vectorized chunks from the same plan (:meth:`MonteCarlo._plan`), so a
 sequential run's rows are a prefix of the fixed-count run's rows.
 """
 
@@ -66,7 +68,7 @@ from repro.stats.sequential import RelativePrecisionRule, RunningStatistics
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.rareevent.estimator import RareEventConfig, RareEventResult
     from repro.simulation.parallel import SharedSimulationPool
-    from repro.simulation.vectorized import VectorizedKernel
+    from repro.simulation.vectorized import PlanChunk
 
 __all__ = ["MonteCarlo", "MonteCarloResult"]
 
@@ -274,34 +276,29 @@ class MonteCarlo:
         # are bit-identical with the subsystem configured but unused.
         self.rare_event = rare_event
         self._seed_sequence = np.random.SeedSequence(seed)
-        self._streams_used = 0
 
     @property
     def horizon(self) -> float:
         """Trajectory length in years."""
         return self.simulator.config.horizon
 
-    def _next_rng(self) -> np.random.Generator:
-        child = self._seed_sequence.spawn(1)[0]
-        self._streams_used += 1
-        return np.random.default_rng(child)
+    @property
+    def _streams_used(self) -> int:
+        """Child seed streams this driver has spawned so far."""
+        return self._seed_sequence.n_children_spawned
 
-    def _next_chunk(
-        self,
-        kernel: "VectorizedKernel",
-        size: int,
-        instr: Optional[Instrumentation],
-        progress: Optional[Callable[[float], None]] = None,
-    ) -> TrajectoryBatch:
-        """Simulate one lockstep chunk of ``size`` rows on the next child
-        stream — the one seed scheme of serial vectorized runs."""
-        rng = self._next_rng()
-        if instr is None:
-            return kernel.simulate_chunk(size, rng, progress=progress)
-        with instr.timer(_obs.TIMER_CHUNK).time():
-            chunk = kernel.simulate_chunk(size, rng, progress=progress)
-        instr.count(_obs.SIM_TRAJECTORIES, size)
-        return chunk
+    def _next_rng(self) -> np.random.Generator:
+        return np.random.default_rng(self._seed_sequence.spawn(1)[0])
+
+    def _plan(self, n_runs: Optional[int] = None) -> Iterator["PlanChunk"]:
+        """This driver's lockstep chunk plan on its next child streams —
+        the one seed scheme of serial, sequential and pooled lockstep
+        runs (``n_runs=None``: endless)."""
+        from repro.simulation.vectorized import lockstep_plan
+
+        return lockstep_plan(
+            self._seed_sequence, self.simulator.config.chunk_trajectories, n_runs
+        )
 
     def _resolve_instrumentation(self) -> Optional[Instrumentation]:
         """Explicit instrumentation, else the simulator's, else ambient."""
@@ -370,20 +367,26 @@ class MonteCarlo:
         """Like :meth:`run`, fanned out over worker processes.
 
         The child RNG streams are identical to a serial :meth:`run`
-        from the same driver state, so the results are bit-identical —
-        parallelism is purely a wall-clock optimization.
+        from the same driver state, so the results are bit-identical
+        on both kernels, at any process count, on a shared pool or not —
+        parallelism is purely a wall-clock optimization.  Object-engine
+        workers take one stream per trajectory; on a lockstep-eligible
+        model each worker task is one whole chunk of the serial chunk
+        plan (:meth:`_plan`), folded back in plan order.
 
         ``processes=None`` (the default) picks a sensible fan-out from
         the schedulable CPU count, capped so a small study does not pay
         the startup cost of idle workers; explicit values must be >= 1.
         Passing a :class:`~repro.simulation.parallel.SharedSimulationPool`
-        reuses its workers instead of spawning a dedicated pool (the
-        pool's size then wins over ``processes``).
+        reuses its workers instead of spawning a pool scoped to the call
+        (the pool's size then wins over ``processes``).
 
         Unless ``keep_trajectories=True``, the raw material comes back
         as a :class:`~repro.simulation.batch.TrajectoryBatch` on the
         result; with ``record_events=False`` (the default) the workers
-        themselves ship packed columns instead of pickled object lists.
+        themselves ship packed columns instead of pickled object lists
+        (lockstep chunks as pickled batches, object-engine columns
+        through shared memory where available).
 
         With telemetry attached — instrumentation (explicit or
         ambient), an ambient span collector, or a progress reporter —
@@ -399,6 +402,7 @@ class MonteCarlo:
             sample_parallel,
             sample_parallel_batch,
         )
+        from repro.simulation.vectorized import vectorized_fallback_reason
 
         if n_runs < 1:
             raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
@@ -430,9 +434,11 @@ class MonteCarlo:
                     ),
                     progress=reporter,
                 )
-            seeds = self._seed_sequence.spawn(n_runs)
-            self._streams_used += n_runs
             vectorized = self.simulator.config.kernel == "vectorized"
+            if vectorized and vectorized_fallback_reason(self.simulator) is None:
+                seeds = list(self._plan(n_runs))
+            else:
+                seeds = self._seed_sequence.spawn(n_runs)
             if vectorized or (
                 not keep_trajectories
                 and not self.simulator.config.record_events
@@ -577,6 +583,7 @@ class MonteCarlo:
         from repro.simulation.vectorized import (
             VectorizedKernel,
             iter_vectorized_batches,
+            simulate_plan_chunk,
             vectorized_fallback_reason,
         )
 
@@ -605,18 +612,16 @@ class MonteCarlo:
 
         if vectorized_fallback_reason(self.simulator) is None:
             kernel = VectorizedKernel(self.simulator)
-            chunk = self.simulator.config.chunk_trajectories
             instr = self._resolve_instrumentation()
             step = self._progress_step(n_runs)
-            while done < n_runs:
-                size = min(chunk, n_runs - done)
+            for chunk in self._plan(n_runs):
                 callback = None
                 if reporter is not None:
                     # Map the kernel's calendar fraction to equivalent
                     # completed trajectories; emit at the object path's
                     # cadence, leaving the boundary event to report().
                     state = {"next": done + step}
-                    base, span = done, size
+                    base, span = done, chunk.size
 
                     def callback(frac, state=state, base=base, span=span):
                         equivalent = base + int(span * frac)
@@ -625,13 +630,12 @@ class MonteCarlo:
                             report(equivalent)
 
                 accumulator.add_batch(
-                    self._next_chunk(kernel, size, instr, progress=callback)
+                    simulate_plan_chunk(kernel, chunk, instr, progress=callback)
                 )
-                done += size
+                done += chunk.size
                 report(done)
         else:
             seeds = self._seed_sequence.spawn(n_runs)
-            self._streams_used += n_runs
             for batch_chunk in iter_vectorized_batches(self.simulator, seeds):
                 accumulator.add_batch(batch_chunk)
                 done += len(batch_chunk)
@@ -673,7 +677,6 @@ class MonteCarlo:
             config = RareEventConfig()
         estimator = RareEventEstimator(self.simulator, config)
         seeds = self._seed_sequence.spawn(config.n_units)
-        self._streams_used += config.n_units
         logger.info(
             kv(
                 "rare-event run",
@@ -874,15 +877,18 @@ class MonteCarlo:
         is only simulated when the next batch reaches past the rows
         already drawn, so at most one chunk's tail is left unobserved.
         """
-        from repro.simulation.vectorized import VectorizedKernel
+        from repro.simulation.vectorized import (
+            VectorizedKernel,
+            simulate_plan_chunk,
+        )
 
         kernel = VectorizedKernel(self.simulator)
-        chunk = self.simulator.config.chunk_trajectories
         instr = self._resolve_instrumentation()
+        plan = self._plan()
         pending = np.empty(0)
         while True:
             while len(pending) < batch_size:
-                rows = self._next_chunk(kernel, chunk, instr)
+                rows = simulate_plan_chunk(kernel, next(plan), instr)
                 sink.add_batch(rows)
                 pending = np.concatenate((pending, column(rows)))
             yield pending[:batch_size].tolist()

@@ -5,10 +5,15 @@ to worker processes.  Reproducibility is preserved exactly: the child
 RNG streams are derived from the root seed in the same order a serial
 run would use them, so ``run_parallel`` returns **bit-identical KPIs**
 to :meth:`repro.simulation.montecarlo.MonteCarlo.run` with the same
-seed (the test suite asserts this).
+seed, on both kernels and at any process count (the test suite
+asserts this).
 
-The simulator object is pickled once per worker; per-trajectory work
-ships only a :class:`numpy.random.SeedSequence`.  Results come back in
+Every pool is a :class:`SharedSimulationPool` (a call without one gets
+a pool scoped to the call); workers unpickle each simulator once and
+cache it by digest.  Per-trajectory work ships only a
+:class:`numpy.random.SeedSequence`, and lockstep work one whole chunk
+of the serial chunk plan (:func:`~repro.simulation.vectorized.
+lockstep_plan`), whose batch comes back pickled.  Results come back in
 one of two shapes:
 
 * :func:`sample_parallel` — full :class:`~repro.simulation.trace.
@@ -16,14 +21,14 @@ one of two shapes:
   themselves are kept);
 * :func:`sample_parallel_batch` — packed
   :class:`~repro.simulation.batch.TrajectoryBatch` columns.  Workers
-  reduce each trajectory to its KPI scalars immediately, and — where
-  POSIX shared memory is available — scatter the columns straight into
-  one pre-sized ``multiprocessing.shared_memory`` segment at their
-  chunk's row offset (:mod:`repro.simulation.shm`), so the result pipe
-  carries only a tiny per-chunk handle and the driver materializes the
-  final batch with a single copy out of the segment (zero-copy fold;
-  bit-identical to the pickled fallback, which remains for hosts
-  without ``/dev/shm``).
+  reduce each trajectory to its KPI scalars immediately, and — for
+  seed lists, where POSIX shared memory is available — scatter the
+  columns straight into one pre-sized ``multiprocessing.shared_memory``
+  segment at their chunk's row offset (:mod:`repro.simulation.shm`), so
+  the result pipe carries only a tiny per-chunk handle and the driver
+  materializes the final batch with a single copy out of the segment
+  (zero-copy fold; bit-identical to the pickled fallback, which remains
+  for hosts without ``/dev/shm``).
 
 A worker process dying (OOM-kill, segfault, ``os._exit``) surfaces as
 a :class:`~repro.errors.SimulationError` instead of a hang or an
@@ -57,7 +62,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,6 +84,11 @@ from repro.simulation.shm import (
     write_chunk_batch,
 )
 from repro.simulation.trace import Trajectory
+from repro.simulation.vectorized import (
+    PlanChunk,
+    VectorizedKernel,
+    simulate_plan_chunk,
+)
 
 __all__ = [
     "simulate_batch",
@@ -96,11 +106,6 @@ logger = get_logger(__name__)
 #: simulator unpickling and IPC overhead outweigh extra cores for the
 #: replication counts this project runs.
 MAX_DEFAULT_PROCESSES = 8
-
-# Module-level worker state: initialised once per process, so the
-# (potentially large) simulator is unpickled a single time.
-_WORKER_SIMULATOR: Optional[FMTSimulator] = None
-
 
 def _available_cpu_count() -> int:
     """CPUs this process may actually run on.
@@ -134,11 +139,6 @@ def default_process_count(n_tasks: Optional[int] = None) -> int:
     if n_tasks is not None:
         count = min(count, n_tasks)
     return max(1, count)
-
-
-def _init_worker(simulator: FMTSimulator) -> None:
-    global _WORKER_SIMULATOR
-    _WORKER_SIMULATOR = simulator
 
 
 def simulate_batch(
@@ -175,28 +175,6 @@ def simulate_batch_columns(
     for seed in seeds:
         add(simulate(np.random.default_rng(seed)))
     return accumulator.finalize()
-
-
-def _worker_batch(seeds: Sequence[np.random.SeedSequence]) -> List[Trajectory]:
-    assert _WORKER_SIMULATOR is not None
-    return simulate_batch(_WORKER_SIMULATOR, seeds)
-
-
-def _worker_batch_columns(
-    seeds: Sequence[np.random.SeedSequence],
-) -> TrajectoryBatch:
-    assert _WORKER_SIMULATOR is not None
-    return simulate_batch_columns(_WORKER_SIMULATOR, seeds)
-
-
-def _worker_batch_columns_shm(
-    task: Tuple[Sequence[np.random.SeedSequence], ShmChunkSpec],
-):
-    assert _WORKER_SIMULATOR is not None
-    seeds, spec = task
-    return write_chunk_batch(
-        simulate_batch_columns(_WORKER_SIMULATOR, seeds), spec
-    )
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +241,7 @@ def _run_chunk_with_telemetry(
     simulator: FMTSimulator,
     seeds: Sequence[np.random.SeedSequence],
     extras: ChunkExtras,
+    run: Optional[Callable[[FMTSimulator, Any], Any]] = None,
 ) -> ChunkResult:
     """Worker-side chunk execution with per-chunk telemetry.
 
@@ -283,7 +262,8 @@ def _run_chunk_with_telemetry(
                 "pid": os.getpid(),
             },
         )
-    run = simulate_batch_columns if extras.as_batch else simulate_batch
+    if run is None:
+        run = simulate_batch_columns if extras.as_batch else simulate_batch
     start = time.perf_counter()
     registry = None
     if extras.collect_metrics:
@@ -312,14 +292,6 @@ def _run_chunk_with_telemetry(
     )
 
 
-def _worker_chunk_telemetry(
-    task: Tuple[Sequence[np.random.SeedSequence], ChunkExtras],
-) -> ChunkResult:
-    assert _WORKER_SIMULATOR is not None
-    seeds, extras = task
-    return _run_chunk_with_telemetry(_WORKER_SIMULATOR, seeds, extras)
-
-
 # Shared-pool worker state: simulators cached by payload digest, so one
 # pool can serve many different studies and each worker unpickles a
 # given simulator at most once.
@@ -339,6 +311,31 @@ def _shared_simulator(digest: str, blob: bytes) -> FMTSimulator:
         simulator = pickle.loads(blob)
         _SHARED_SIMULATORS[digest] = simulator
     return simulator
+
+
+# Compiled lockstep kernels, cached next to the simulators they serve.
+_SHARED_KERNELS: Dict[str, VectorizedKernel] = {}
+
+
+def _shared_worker_lockstep(
+    payload: Tuple[str, bytes, PlanChunk, Optional[ChunkExtras]],
+) -> Any:
+    """The lockstep worker: one whole plan chunk, one batch back."""
+    digest, blob, chunk, extras = payload
+    kernel = _SHARED_KERNELS.get(digest)
+    if kernel is None:
+        if len(_SHARED_KERNELS) >= MAX_CACHED_SIMULATORS:
+            _SHARED_KERNELS.clear()
+        kernel = VectorizedKernel(_shared_simulator(digest, blob))
+        _SHARED_KERNELS[digest] = kernel
+    if extras is None:
+        return simulate_plan_chunk(kernel, chunk)
+
+    def run(simulator: FMTSimulator, chunk: PlanChunk) -> TrajectoryBatch:
+        # The chunk's fresh registry is swapped into the config.
+        return simulate_plan_chunk(kernel, chunk, simulator.config.instrumentation)
+
+    return _run_chunk_with_telemetry(kernel.simulator, chunk, extras, run)
 
 
 def _shared_worker_batch(
@@ -374,16 +371,16 @@ def _shared_worker_chunk_telemetry(
 class SharedSimulationPool:
     """A process pool reusable across many (simulator, seeds) studies.
 
-    ``sample_parallel`` normally spins up a dedicated pool whose
-    workers are initialised with one pickled simulator — fine for a
-    single large run, wasteful when an experiment sweep performs many
-    medium runs back to back.  A shared pool is created once, sized
-    once, and serves every study of a sweep: tasks carry the pickled
-    simulator plus its digest, and workers cache unpickled simulators
-    by digest, so repeated studies of the same model pay the transfer
-    but not the unpickling.
+    Without one, each parallel call spins up a pool scoped to the
+    call — fine for a single large run, wasteful when an experiment
+    sweep performs many medium runs back to back.  A shared pool is
+    created once, sized once, and serves every study of a sweep: tasks
+    carry the pickled simulator plus its digest, and workers cache
+    unpickled simulators (and compiled lockstep kernels) by digest, so
+    repeated studies of the same model pay the transfer but not the
+    unpickling.
 
-    Results are bit-identical to a dedicated pool and to a serial run
+    Results are bit-identical to a scoped pool and to a serial run
     (the trajectories are functions of the seeds alone).  The pool is
     lazy — no processes exist until the first parallel study — and a
     worker crash poisons only the current executor: the next study
@@ -516,7 +513,9 @@ def _dispatch_chunks(
     """Yield per-chunk worker payloads in seed order.
 
     Shared machinery behind :func:`sample_parallel` and
-    :func:`sample_parallel_batch`; ``as_batch`` selects the worker
+    :func:`sample_parallel_batch`.  Without ``pool``, a
+    :class:`SharedSimulationPool` scoped to the call (no larger than
+    the chunk count) serves the chunks.  ``as_batch`` selects the worker
     representation (object lists vs packed columns).  With an active
     :class:`WorkerTelemetry`, tasks carry :class:`ChunkExtras`, workers
     return :class:`ChunkResult`, and the telemetry is folded driver-
@@ -524,7 +523,9 @@ def _dispatch_chunks(
     (batch representation only) each task carries its chunk's
     :class:`~repro.simulation.shm.ShmChunkSpec`, workers scatter their
     columns into the shared segment, and the yielded payloads are
-    :class:`~repro.simulation.shm.ShmChunkHandle` records.
+    :class:`~repro.simulation.shm.ShmChunkHandle` records.  Prechunked
+    :class:`~repro.simulation.vectorized.PlanChunk` tasks go to the
+    lockstep worker.
     """
     if telemetry is not None and not telemetry.active:
         telemetry = None
@@ -532,22 +533,27 @@ def _dispatch_chunks(
         chunks = prechunked
     else:
         chunks, chunk_size = _chunk_seeds(seeds, processes, chunk_size)
+    if pool is None:
+        with SharedSimulationPool(max(1, min(processes, len(chunks)))) as scoped:
+            yield from _dispatch_chunks(
+                simulator, seeds, processes, chunk_size, scoped, as_batch,
+                telemetry, chunks, shm_writer,
+            )
+        return
+    total = sum(len(chunk) for chunk in chunks)
     logger.debug(
         kv(
             "sample_parallel dispatch",
-            trajectories=len(seeds),
+            trajectories=total,
             processes=processes,
             chunks=len(chunks),
             chunk_size=max(len(chunk) for chunk in chunks) if chunks else 0,
-            shared=pool is not None,
             as_batch=as_batch,
             telemetry=telemetry is not None,
             shm=shm_writer is not None,
         )
     )
-    fold = (
-        _TelemetryFold(telemetry, len(seeds)) if telemetry is not None else None
-    )
+    fold = _TelemetryFold(telemetry, total) if telemetry is not None else None
     extras = None
     if telemetry is not None:
         extras = [
@@ -564,68 +570,48 @@ def _dispatch_chunks(
         ]
     completed = 0
     try:
-        if pool is not None:
-            blob = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(blob).hexdigest()
-            if extras is not None:
-                payloads: List[Tuple] = [
-                    (digest, blob, chunk, extra)
-                    for chunk, extra in zip(chunks, extras)
-                ]
-                worker = _shared_worker_chunk_telemetry
-            elif shm_writer is not None:
-                payloads = [
-                    (digest, blob, chunk, shm_writer.spec(index))
-                    for index, chunk in enumerate(chunks)
-                ]
-                worker = _shared_worker_batch_columns_shm
-            else:
-                payloads = [(digest, blob, chunk) for chunk in chunks]
-                worker = (
-                    _shared_worker_batch_columns
-                    if as_batch
-                    else _shared_worker_batch
-                )
-            for index, result in enumerate(pool.executor().map(worker, payloads)):
-                completed += len(chunks[index])
-                yield fold.fold(result) if fold is not None else result
+        blob = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(blob).hexdigest()
+        lockstep = bool(chunks) and isinstance(chunks[0], PlanChunk)
+        if lockstep or extras is not None:
+            payloads: List[Tuple] = [
+                (digest, blob, chunk, extras[index] if extras else None)
+                for index, chunk in enumerate(chunks)
+            ]
+            worker = (
+                _shared_worker_lockstep
+                if lockstep
+                else _shared_worker_chunk_telemetry
+            )
+        elif shm_writer is not None:
+            payloads = [
+                (digest, blob, chunk, shm_writer.spec(index))
+                for index, chunk in enumerate(chunks)
+            ]
+            worker = _shared_worker_batch_columns_shm
         else:
-            with ProcessPoolExecutor(
-                max_workers=processes,
-                initializer=_init_worker,
-                initargs=(simulator,),
-            ) as executor:
-                if extras is not None:
-                    tasks: Sequence = list(zip(chunks, extras))
-                    worker = _worker_chunk_telemetry
-                elif shm_writer is not None:
-                    tasks = [
-                        (chunk, shm_writer.spec(index))
-                        for index, chunk in enumerate(chunks)
-                    ]
-                    worker = _worker_batch_columns_shm
-                else:
-                    tasks = chunks
-                    worker = _worker_batch_columns if as_batch else _worker_batch
-                for index, result in enumerate(executor.map(worker, tasks)):
-                    completed += len(chunks[index])
-                    yield fold.fold(result) if fold is not None else result
+            payloads = [(digest, blob, chunk) for chunk in chunks]
+            worker = (
+                _shared_worker_batch_columns if as_batch else _shared_worker_batch
+            )
+        for index, result in enumerate(pool.executor().map(worker, payloads)):
+            completed += len(chunks[index])
+            yield fold.fold(result) if fold is not None else result
         if fold is not None:
             fold.finish()
     except BrokenProcessPool as exc:
-        if pool is not None:
-            pool.invalidate()
+        pool.invalidate()
         logger.error(
             kv(
                 "worker process crashed",
                 processes=processes,
                 completed=completed,
-                total=len(seeds),
+                total=total,
             )
         )
         raise SimulationError(
             "a Monte Carlo worker process terminated abruptly "
-            f"(completed {completed}/{len(seeds)} trajectories); "
+            f"(completed {completed}/{total} trajectories); "
             "rerun with processes=1 to reproduce the failure in-process"
         ) from exc
 
@@ -643,8 +629,8 @@ def sample_parallel(
     Results are returned in seed order (hence identical to a serial
     run over the same seeds, regardless of worker scheduling).  When a
     :class:`SharedSimulationPool` is given its workers are reused and
-    ``processes`` is taken from the pool; otherwise a dedicated pool is
-    created for this call.  ``telemetry`` opts into the worker
+    ``processes`` is taken from the pool; otherwise a pool scoped to
+    this call is created.  ``telemetry`` opts into the worker
     metric/span/progress round-trip (see the module docstring) —
     trajectories are bit-identical with or without it.
 
@@ -671,7 +657,7 @@ def sample_parallel(
 
 def sample_parallel_batch(
     simulator: FMTSimulator,
-    seeds: Sequence[np.random.SeedSequence],
+    seeds: Union[Sequence[np.random.SeedSequence], Sequence[PlanChunk]],
     processes: int,
     chunk_size: Optional[int] = None,
     pool: Optional[SharedSimulationPool] = None,
@@ -695,31 +681,32 @@ def sample_parallel_batch(
     unlinked in a ``finally`` even when a worker crashes.  Pass
     ``use_shared_memory=False`` to force the pickled fold — the result
     is bit-identical either way (the test suite asserts it).
+
+    ``seeds`` may instead be a lockstep chunk plan, a list of
+    :class:`~repro.simulation.vectorized.PlanChunk` for a lockstep-
+    eligible simulator: each worker task is then one whole chunk, its
+    batch comes back pickled, and the batches fold in plan order — the
+    serial run of the plan at any process count (``chunk_size`` and
+    ``use_shared_memory`` do not apply).
     """
     if pool is not None:
         processes = pool.processes
     if processes < 1:
         raise ValidationError(f"processes must be >= 1, got {processes}")
+    plan = bool(seeds) and isinstance(seeds[0], PlanChunk)
+    if processes == 1 and plan:
+        kernel = VectorizedKernel(simulator)
+        instr = telemetry.instrumentation if telemetry is not None else None
+        return TrajectoryBatch.merge(
+            [simulate_plan_chunk(kernel, chunk, instr) for chunk in seeds]
+        )
     if processes == 1:
         return simulate_batch_columns(simulator, seeds)
-    if chunk_size is None and simulator.config.kernel == "vectorized":
-        from repro.simulation.vectorized import vectorized_fallback_reason
-
-        if vectorized_fallback_reason(simulator) is None:
-            # Lockstep workers amortize per-chunk costs (kernel
-            # compile, epoch table walk) over chunk rows, so the 4x
-            # oversubscription that load-balances object workers only
-            # shrinks their chunks.  One chunk per worker, capped at
-            # the configured lockstep chunk size.
-            chunk_size = min(
-                simulator.config.chunk_trajectories,
-                -(-len(seeds) // processes),
-            ) or 1
-    chunks, _ = _chunk_seeds(seeds, processes, chunk_size)
+    chunks = list(seeds) if plan else _chunk_seeds(seeds, processes, chunk_size)[0]
     writer = None
     if use_shared_memory is None:
         use_shared_memory = shared_memory_available()
-    if use_shared_memory and shared_memory_available():
+    if use_shared_memory and shared_memory_available() and not plan:
         try:
             writer = ShmBatchWriter(
                 simulator.config.horizon, [len(chunk) for chunk in chunks]

@@ -31,17 +31,22 @@ instead — bit-identical to the plain object path, which stays the
 correctness oracle (see :mod:`repro.simulation.differential` for the
 distributional-equivalence harness).
 
-Determinism: for a fixed chunk layout the kernel is a pure function of
-the model and the seed sequence (chunk ``i`` draws from a child of its
-first seed).  Results are *distributionally* equivalent to — but not
-bit-identical with — the object engine, and they are not invariant to
-the chunk size.  Studies that need bit-level reproducibility against
-golden fixtures keep ``kernel="object"``.
+Determinism: a lockstep run follows one chunk plan
+(:func:`lockstep_plan`): ``chunk_trajectories`` rows per chunk, the
+last chunk takes the remainder, and each chunk draws from the driver's
+next child seed stream.  Serial runs, sequential stopping and pooled
+workers all consume that plan, so a run is a pure function of the
+model, the root seed and the chunk size — never of the process count.
+Results are *distributionally* equivalent to — but not bit-identical
+with — the object engine, and they are not invariant to the chunk
+size.  Studies that need bit-level reproducibility against golden
+fixtures keep ``kernel="object"``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,8 +59,12 @@ from repro.simulation.executor import DEFAULT_CHUNK_TRAJECTORIES, FMTSimulator
 
 __all__ = [
     "DEFAULT_CHUNK_TRAJECTORIES",
+    "LOCKSTEP_PLAN_VERSION",
+    "PlanChunk",
     "VectorizedKernel",
     "iter_vectorized_batches",
+    "lockstep_plan",
+    "simulate_plan_chunk",
     "simulate_batch_columns_vectorized",
     "vectorized_fallback_reason",
 ]
@@ -1264,6 +1273,66 @@ class VectorizedKernel:
 # ----------------------------------------------------------------------
 # Batch drivers
 # ----------------------------------------------------------------------
+#: Version of the lockstep chunk plan, folded into vectorized study keys
+#: so cache entries written under an older plan are never served.
+#: Version 2: pooled runs consume the serial plan (whole chunks of
+#: ``chunk_trajectories`` rows) instead of per-process chunks.
+LOCKSTEP_PLAN_VERSION = 2
+
+
+@dataclass(frozen=True)
+class PlanChunk:
+    """One chunk of a lockstep plan: first row, row count, RNG stream.
+
+    ``len()`` is the row count, as for a chunk of a seed list.
+    """
+
+    offset: int
+    size: int
+    seed: np.random.SeedSequence
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def lockstep_plan(
+    seed_sequence: np.random.SeedSequence,
+    chunk_trajectories: int,
+    n_runs: Optional[int] = None,
+) -> Iterator[PlanChunk]:
+    """The one chunk plan of lockstep runs, spawned lazily in order.
+
+    Every chunk has ``chunk_trajectories`` rows except the last, which
+    takes the remainder of ``n_runs``; each draws from the next child
+    of ``seed_sequence``.  ``n_runs=None`` yields full chunks without
+    end (sequential stopping).  The process count is not an input.
+    """
+    offset = 0
+    while n_runs is None or offset < n_runs:
+        size = chunk_trajectories
+        if n_runs is not None:
+            size = min(size, n_runs - offset)
+        yield PlanChunk(offset, size, seed_sequence.spawn(1)[0])
+        offset += size
+
+
+def simulate_plan_chunk(
+    kernel: "VectorizedKernel",
+    chunk: PlanChunk,
+    instr: Optional["_obs.Instrumentation"] = None,
+    progress: Optional[Callable[[float], None]] = None,
+) -> TrajectoryBatch:
+    """Simulate one plan chunk on its stream; timed into ``instr``
+    (``sim.chunk.seconds``, ``sim.trajectories``) when given."""
+    rng = np.random.default_rng(chunk.seed)
+    if instr is None:
+        return kernel.simulate_chunk(chunk.size, rng, progress=progress)
+    with instr.timer(_obs.TIMER_CHUNK).time():
+        batch = kernel.simulate_chunk(chunk.size, rng, progress=progress)
+    instr.count(_obs.SIM_TRAJECTORIES, chunk.size)
+    return batch
+
+
 def iter_vectorized_batches(
     simulator: FMTSimulator,
     seeds: Sequence[np.random.SeedSequence],
@@ -1296,13 +1365,9 @@ def iter_vectorized_batches(
                 accumulator.add(simulator.simulate(np.random.default_rng(seed)))
             batch = accumulator.finalize()
         else:
-            rng = np.random.default_rng(chunk[0].spawn(1)[0])
-            if instr is None:
-                batch = kernel.simulate_chunk(len(chunk), rng)
-            else:
-                with instr.timer(_obs.TIMER_CHUNK).time():
-                    batch = kernel.simulate_chunk(len(chunk), rng)
-                instr.count(_obs.SIM_TRAJECTORIES, len(chunk))
+            batch = simulate_plan_chunk(
+                kernel, PlanChunk(start, len(chunk), chunk[0].spawn(1)[0]), instr
+            )
         yield batch
 
 

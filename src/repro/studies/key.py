@@ -27,6 +27,7 @@ from typing import Any
 
 from repro._version import __version__
 from repro.simulation.executor import DEFAULT_CHUNK_TRAJECTORIES
+from repro.simulation.vectorized import LOCKSTEP_PLAN_VERSION
 
 __all__ = ["StudyKey", "canonical", "study_material", "CODE_SALT"]
 
@@ -136,8 +137,11 @@ def study_material(
     before the kernel knob existed.  ``chunk_trajectories`` follows the
     same rule: the vectorized kernel consumes one RNG stream per chunk,
     so a non-default chunk size yields different trajectories and must
-    fracture the key, while the default (4096) stays out of the
-    material to keep existing digests stable.
+    fracture the key, while the default stays out of the material to
+    keep existing digests stable.  Vectorized material also carries
+    the lockstep chunk-plan version (:data:`~repro.simulation.
+    vectorized.LOCKSTEP_PLAN_VERSION`), so entries written under an
+    older plan are never served; object material is untouched.
     """
     material = {
         "salt": CODE_SALT,
@@ -152,6 +156,8 @@ def study_material(
     }
     if kernel != "object":
         material["kernel"] = str(kernel)
+    if kernel == "vectorized":
+        material["chunk_plan"] = LOCKSTEP_PLAN_VERSION
     if int(chunk_trajectories) != DEFAULT_CHUNK_TRAJECTORIES:
         material["chunk_trajectories"] = int(chunk_trajectories)
     return canonical(material)

@@ -394,15 +394,15 @@ class StudyRunner:
         it before computing a key.  ``kernel="auto"`` becomes
         ``"vectorized"`` only when the model passes
         :func:`~repro.simulation.vectorized.vectorized_fallback_reason`,
-        ``record_events`` is off, ``artifact`` is not ``"rare_event"``,
-        and the study runs in-process (no pool, or ``n_runs`` below
-        ``parallel_threshold`` — pooled lockstep answers still depend
-        on the process count).  Otherwise it becomes ``"object"`` and
-        the reason is returned.  An explicit kernel is kept; for
-        ``"vectorized"`` the reason its driver will fall back to the
-        object engine, if any, is returned.  The resolved request is
-        ``replace(request, kernel=...)``, so it shares the cache
-        entries of an explicit request on that kernel.
+        ``record_events`` is off, and ``artifact`` is not
+        ``"rare_event"``; pooled and in-process studies route alike,
+        since lockstep answers do not depend on the process count.
+        Otherwise it becomes ``"object"`` and the reason is returned.
+        An explicit kernel is kept; for ``"vectorized"`` the reason its
+        driver will fall back to the object engine, if any, is
+        returned.  The resolved request is ``replace(request,
+        kernel=...)``, so it shares the cache entries of an explicit
+        request on that kernel.
 
         A model the simulator rejects routes to ``"object"``, with the
         rejection as the reason; running the study raises the error.
@@ -415,12 +415,6 @@ class StudyRunner:
             reason = "record_events needs the object kernel's event streams"
         elif artifact == "rare_event":
             reason = "rare-event splitting runs on the object engine"
-        elif self._pooled(request):
-            reason = (
-                f"pooled study ({request.n_runs} runs >= parallel_threshold "
-                f"{self.parallel_threshold}): lockstep answers still depend "
-                "on the process count"
-            )
         else:
             candidate = replace(request, kernel="vectorized")
             reason = self._fallback_reason(candidate)
@@ -670,13 +664,6 @@ class StudyRunner:
             return request
         return self.resolve(request, artifact)[0]
 
-    def _pooled(self, request: StudyRequest) -> bool:
-        """Whether the study fans out to the shared pool."""
-        return (
-            self._pool is not None
-            and request.n_runs >= self.parallel_threshold
-        )
-
     def _fallback_reason(self, request: StudyRequest) -> Optional[str]:
         """The prototype's lockstep classification (memoized with it)."""
         try:
@@ -714,7 +701,7 @@ class StudyRunner:
         self, request: StudyRequest, keep_trajectories: bool
     ) -> MonteCarloResult:
         driver = request.driver(simulator=self._prototype(request))
-        if self._pooled(request):
+        if self._pool is not None and request.n_runs >= self.parallel_threshold:
             return driver.run_parallel(
                 request.n_runs,
                 confidence=request.confidence,

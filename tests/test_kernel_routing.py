@@ -107,17 +107,19 @@ def test_rare_event_routes_to_object(runner, simple_or_tree):
     assert "rare-event" in reason
 
 
-def test_pooled_study_at_threshold_routes_to_object(simple_or_tree):
-    # Building the pool starts no worker processes; routing only reads
-    # whether the study would fan out.
+def test_pooled_studies_route_to_vectorized(simple_or_tree):
+    # Lockstep answers do not depend on the process count, so whether a
+    # study fans out to the pool plays no part in routing.  Building
+    # the pool starts no worker processes.
     with StudyRunner(processes=2, parallel_threshold=100) as pooled:
-        at, reason = pooled.resolve(_auto(simple_or_tree, n_runs=100))
-        above, _ = pooled.resolve(_auto(simple_or_tree, n_runs=500))
-        below, below_reason = pooled.resolve(_auto(simple_or_tree, n_runs=99))
-    assert at.kernel == "object" and above.kernel == "object"
-    assert "parallel_threshold" in reason
-    assert below.kernel == "vectorized"
-    assert below_reason is None
+        routed = [
+            pooled.resolve(_auto(simple_or_tree, n_runs=n_runs))
+            for n_runs in (99, 100, 500)
+        ]
+    assert routed == [
+        (replace(_auto(simple_or_tree, n_runs=n_runs), kernel="vectorized"), None)
+        for n_runs in (99, 100, 500)
+    ]
 
 
 def test_explicit_kernels_are_kept(runner, simple_or_tree):
@@ -215,18 +217,25 @@ def test_classification_runs_once_per_prototype(
     assert len(calls) == 1
 
 
-# Digests of explicit requests as computed before the router existed:
-# routing must not move any existing cache entry.
+# Digests of explicit requests: routing must not move any existing
+# cache entry.  The object digests predate the router; the vectorized
+# ones carry the lockstep chunk-plan version (LOCKSTEP_PLAN_VERSION 2).
 _PINNED = {
     "object": (
         "a8345f77285c05974b27ced39fe90ea5fa16c6d81e7d5553261e348cbafbc267",
         "2383999728e94273349405f49f62cad6565fa16c50844ad56075928207bcf32d",
     ),
     "vectorized": (
-        "2b14ae34346433190699d7059a9dc662c37049fc754087efc4746e967a360269",
-        "d29cf2c39d1d420a0b8325edecd9aab3da63bcc47b2795a2e28f1a2700319f1a",
+        "5f940f7b71c7670f3d5591d0ba0275a5500d9f5beb30cc3c7093b2b2423e94a4",
+        "1dc1a7fa41c4498b40a9b6a885ac0db34c79e2a41d0720d3a0561a228428905c",
     ),
 }
+
+#: The vectorized digest under the material before the chunk-plan
+#: version existed (pooled answers then depended on the process count).
+_PRE_PLAN_VECTORIZED = (
+    "2b14ae34346433190699d7059a9dc662c37049fc754087efc4746e967a360269"
+)
 
 
 @pytest.mark.parametrize("kernel", sorted(_PINNED))
@@ -242,6 +251,48 @@ def test_explicit_digests_unchanged(kernel):
     )
     key = request.key()
     assert (key.digest, key.derive("summary", None).digest) == _PINNED[kernel]
+
+
+def test_vectorized_entry_under_pre_plan_material_is_not_served(tmp_path):
+    from repro.studies.cache import DiskCache
+    from repro.studies.key import CODE_SALT, StudyKey, canonical, strategy_signature
+
+    request = StudyRequest(
+        tree=build_ei_joint_fmt(),
+        strategy=current_policy(),
+        horizon=20.0,
+        cost_model=default_cost_model(),
+        seed=7,
+        n_runs=500,
+        kernel="vectorized",
+    )
+    old = StudyKey.from_material(
+        canonical(
+            {
+                "salt": CODE_SALT,
+                "model": request.tree,
+                "strategy": strategy_signature(request.strategy),
+                "horizon": request.horizon,
+                "cost_model": request.cost_model,
+                "seed": request.seed,
+                "n_runs": request.n_runs,
+                "confidence": request.confidence,
+                "record_events": False,
+                "kernel": "vectorized",
+            }
+        )
+    )
+    assert old.digest == _PRE_PLAN_VECTORIZED
+    DiskCache(str(tmp_path)).store(old.derive("summary", None), "stale")
+    instrumentation = Instrumentation()
+    with StudyRunner(
+        cache_dir=str(tmp_path), instrumentation=instrumentation
+    ) as runner:
+        summary = runner.summary(request)
+    assert summary.n_runs == 500
+    counters = instrumentation.registry.to_dict()["counters"]
+    assert counters.get("study.disk_hits", 0) == 0
+    assert counters["study.misses"] == 1
 
 
 # ----------------------------------------------------------------------
