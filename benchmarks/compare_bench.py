@@ -29,14 +29,11 @@ Usage::
     PYTHONPATH=src python benchmarks/compare_bench.py fresh.json \
         --require-speedup eijoint-unmaintained-vectorized:eijoint-unmaintained:10
     PYTHONPATH=src python benchmarks/compare_bench.py fresh.json \
-        --require-floor eijoint-current-policy-vectorized:25000 \
-        --check-shm-leak
+        --require-floor eijoint-current-policy-vectorized:25000
     PYTHONPATH=src python benchmarks/compare_bench.py --max-overhead 0.05
 
 ``--require-floor WORKLOAD:TRAJ_PER_SEC`` gates an absolute throughput
-floor, and ``--check-shm-leak`` exercises the zero-copy shared-memory
-parallel fold (clean and worker-crash paths) and fails on any leaked
-``/dev/shm`` segment.
+floor.
 """
 
 from __future__ import annotations
@@ -207,71 +204,6 @@ def check_floors(
     return lines, violations
 
 
-def check_shm_leak() -> List[str]:
-    """Violations if the shared-memory fan-out leaks segments.
-
-    Runs the zero-copy parallel fold twice — once to completion, once
-    with seeds that crash every worker — and asserts ``/dev/shm`` holds
-    no new ``psm_*`` segments afterwards (the driver must unlink in a
-    ``finally`` on both paths).  Skipped (no violation) on hosts
-    without POSIX shared memory.
-    """
-    import glob
-
-    import numpy as np
-
-    from repro.eijoint.model import build_ei_joint_fmt
-    from repro.eijoint.strategies import current_policy
-    from repro.simulation.executor import FMTSimulator, SimulationConfig
-    from repro.simulation.parallel import sample_parallel_batch
-    from repro.simulation.shm import shared_memory_available
-
-    if not shared_memory_available():
-        print("shm leak check: shared memory unavailable, skipped")
-        return []
-
-    def segments() -> set:
-        return set(glob.glob("/dev/shm/psm_*"))
-
-    before = segments()
-    simulator = FMTSimulator(
-        build_ei_joint_fmt(), current_policy(), horizon=10.0
-    )
-    sample_parallel_batch(
-        simulator,
-        np.random.SeedSequence(2016).spawn(64),
-        processes=2,
-        chunk_size=16,
-        use_shared_memory=True,
-    )
-    clean_leak = segments() - before
-    try:
-        sample_parallel_batch(
-            simulator,
-            ["not-a-seed"] * 8,
-            processes=2,
-            chunk_size=2,
-            use_shared_memory=True,
-        )
-    except Exception:
-        pass  # the crash is the point; only the cleanup matters
-    crash_leak = segments() - before
-    violations = []
-    if clean_leak:
-        violations.append(
-            f"shared-memory fold leaked {sorted(clean_leak)} on the "
-            "clean path"
-        )
-    if crash_leak:
-        violations.append(
-            f"shared-memory fold leaked {sorted(crash_leak)} on the "
-            "worker-crash path"
-        )
-    if not violations:
-        print("shm leak check: no segments leaked (clean + crash paths)")
-    return violations
-
-
 def measure_telemetry_overhead(n_runs: int = 300, reps: int = 5) -> float:
     """Fractional cost of full telemetry on the EI-joint workload.
 
@@ -354,18 +286,9 @@ def main(argv=None) -> int:
         "trajectories per second in the fresh results file (repeatable; "
         "e.g. eijoint-current-policy-vectorized:25000)",
     )
-    parser.add_argument(
-        "--check-shm-leak", action="store_true",
-        help="run the shared-memory parallel fold (clean + worker-crash "
-        "paths) and fail if any /dev/shm segment is left behind",
-    )
     args = parser.parse_args(argv)
-    if (
-        args.fresh is None
-        and args.max_overhead is None
-        and not args.check_shm_leak
-    ):
-        parser.error("give FRESH_JSON, --max-overhead, --check-shm-leak, or a combination")
+    if args.fresh is None and args.max_overhead is None:
+        parser.error("give FRESH_JSON, --max-overhead, or both")
     if args.require_speedup and args.fresh is None:
         parser.error("--require-speedup needs FRESH_JSON")
     if args.require_floor and args.fresh is None:
@@ -396,9 +319,6 @@ def main(argv=None) -> int:
             for line in floor_lines:
                 print(line)
             violations.extend(floor_violations)
-
-    if args.check_shm_leak:
-        violations.extend(check_shm_leak())
 
     if args.max_overhead is not None:
         overhead: Optional[float] = None

@@ -218,9 +218,9 @@ def _summarize_workloads(n: int) -> Dict[str, Callable]:
 def _parallel_workload(strategy_factory, keep: bool, horizon: float = 50.0):
     """End-to-end run_parallel: simulate + IPC + aggregate.
 
-    ``keep=True`` forces the historical object-shipping path;
-    ``keep=False`` takes the columnar worker IPC + streaming
-    aggregation path.
+    Workers ship batch columns either way (the driver records no
+    events); ``keep=True`` adds rebuilding the trajectory objects from
+    the folded batch on the driver.
     """
     from repro.eijoint import build_ei_joint_fmt, default_cost_model
     from repro.simulation.montecarlo import MonteCarlo

@@ -14,8 +14,10 @@ compared seed-for-seed; what must hold is *distributional* equivalence:
 * every headline KPI interval of one kernel overlaps the other's
   (unreliability, failures/year, availability, cost/year).
 
-:func:`compare_kernels` runs both kernels from the same root seed and
-packages the evidence in a :class:`KernelComparisonReport`; the test
+:func:`compare_kernels` runs both kernels from the same root seed, each
+exactly as a :class:`~repro.simulation.montecarlo.MonteCarlo` study runs
+it (the vectorized side on its lockstep chunk plan), and packages the
+evidence in a :class:`KernelComparisonReport`; the test
 suite and the CI parity smoke call it directly.
 """
 
@@ -28,7 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.simulation.metrics import KpiSummary, summarize
+from repro.simulation.metrics import KpiSummary
 from repro.stats.confidence import ConfidenceInterval
 
 __all__ = ["KernelComparisonReport", "KsResult", "compare_kernels", "intervals_overlap"]
@@ -134,34 +136,27 @@ def compare_kernels(
     test with probability ``alpha`` per column, which is why the
     default is conservative.
     """
-    from repro.maintenance.costs import CostModel
-    from repro.simulation.executor import FMTSimulator, SimulationConfig
-    from repro.simulation.parallel import simulate_batch_columns
+    from repro.simulation.montecarlo import MonteCarlo
     from repro.simulation.vectorized import vectorized_fallback_reason
 
     if n_runs < 2:
         raise ValidationError(f"n_runs must be >= 2, got {n_runs}")
 
-    resolved_costs = cost_model if cost_model is not None else CostModel()
-    batches = {}
+    results = {}
     fallback = None
     for kernel in ("object", "vectorized"):
-        simulator = FMTSimulator(
-            tree,
-            strategy,
-            config=SimulationConfig(
-                horizon=horizon, cost_model=resolved_costs, kernel=kernel
-            ),
+        # Each side is exactly the study a MonteCarlo driver with this
+        # seed runs: one stream per trajectory on the object engine,
+        # the lockstep chunk plan on the vectorized kernel.
+        driver = MonteCarlo(
+            tree, strategy, horizon=horizon, cost_model=cost_model,
+            seed=seed, kernel=kernel,
         )
         if kernel == "vectorized":
-            fallback = vectorized_fallback_reason(simulator)
-        # Same root seed on both sides, spawned exactly like a
-        # MonteCarlo driver would, so the object column equals a
-        # kernel="object" run bit for bit.
-        seeds = np.random.SeedSequence(seed).spawn(n_runs)
-        batches[kernel] = simulate_batch_columns(simulator, seeds)
+            fallback = vectorized_fallback_reason(driver.simulator)
+        results[kernel] = driver.run(n_runs, confidence=confidence)
 
-    obj, vec = batches["object"], batches["vectorized"]
+    obj, vec = results["object"].batch, results["vectorized"].batch
     ks_results = tuple(
         result
         for result in (
@@ -171,8 +166,8 @@ def compare_kernels(
         if result is not None
     )
 
-    obj_summary = summarize(obj, confidence=confidence)
-    vec_summary = summarize(vec, confidence=confidence)
+    obj_summary = results["object"].summary
+    vec_summary = results["vectorized"].summary
     kpi_overlap = {
         name: intervals_overlap(
             getattr(obj_summary, name), getattr(vec_summary, name)

@@ -300,6 +300,15 @@ class MonteCarlo:
             self._seed_sequence, self.simulator.config.chunk_trajectories, n_runs
         )
 
+    def _lockstep(self) -> bool:
+        """Whether the batch drivers run on the lockstep kernel:
+        ``kernel="vectorized"`` on a model with no fallback reason."""
+        if self.simulator.config.kernel != "vectorized":
+            return False
+        from repro.simulation.vectorized import vectorized_fallback_reason
+
+        return vectorized_fallback_reason(self.simulator) is None
+
     def _resolve_instrumentation(self) -> Optional[Instrumentation]:
         """Explicit instrumentation, else the simulator's, else ambient."""
         if self.instrumentation is not None:
@@ -332,6 +341,19 @@ class MonteCarlo:
             return summarize(trajectories, confidence)
         with instr.timer(_obs.TIMER_SUMMARIZE).time():
             return summarize(trajectories, confidence)
+
+    def _batch_result(
+        self, batch: TrajectoryBatch, confidence: float, keep_trajectories: bool
+    ) -> MonteCarloResult:
+        """Result carrying ``batch``, plus objects rebuilt from it if kept."""
+        summary = self._summarize(batch, confidence)
+        if keep_trajectories:
+            return MonteCarloResult(
+                summary=summary,
+                trajectories=tuple(batch.to_trajectories()),
+                batch=batch,
+            )
+        return MonteCarloResult(summary=summary, batch=batch)
 
     def sample(self, n_runs: int) -> List[Trajectory]:
         """Simulate ``n_runs`` fresh trajectories and return them raw."""
@@ -381,12 +403,12 @@ class MonteCarlo:
         reuses its workers instead of spawning a pool scoped to the call
         (the pool's size then wins over ``processes``).
 
-        Unless ``keep_trajectories=True``, the raw material comes back
-        as a :class:`~repro.simulation.batch.TrajectoryBatch` on the
-        result; with ``record_events=False`` (the default) the workers
-        themselves ship packed columns instead of pickled object lists
-        (lockstep chunks as pickled batches, object-engine columns
-        through shared memory where available).
+        The raw material comes back as a :class:`~repro.simulation.
+        batch.TrajectoryBatch` on the result, and ``keep_trajectories=
+        True`` rebuilds the objects from it.  The one exception is a
+        driver with ``record_events=True`` that keeps its trajectories:
+        the events are not in a batch, so its workers ship the objects
+        (:func:`~repro.simulation.parallel.sample_parallel`).
 
         With telemetry attached — instrumentation (explicit or
         ambient), an ambient span collector, or a progress reporter —
@@ -402,7 +424,6 @@ class MonteCarlo:
             sample_parallel,
             sample_parallel_batch,
         )
-        from repro.simulation.vectorized import vectorized_fallback_reason
 
         if n_runs < 1:
             raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
@@ -434,46 +455,23 @@ class MonteCarlo:
                     ),
                     progress=reporter,
                 )
-            vectorized = self.simulator.config.kernel == "vectorized"
-            if vectorized and vectorized_fallback_reason(self.simulator) is None:
+            if self._lockstep():
                 seeds = list(self._plan(n_runs))
             else:
                 seeds = self._seed_sequence.spawn(n_runs)
-            if vectorized or (
-                not keep_trajectories
-                and not self.simulator.config.record_events
-            ):
-                # Compact IPC: workers reduce trajectories to KPI columns
-                # and the driver never materializes the object list.  The
-                # vectorized kernel always takes this path (its native
-                # output is columns); kept trajectories are then rebuilt
-                # from the batch.
-                batch = sample_parallel_batch(
+            if keep_trajectories and self.simulator.config.record_events:
+                trajectories = sample_parallel(
                     self.simulator, seeds, processes, pool=pool,
                     telemetry=telemetry,
                 )
-                summary = self._summarize(batch, confidence)
-                if keep_trajectories:
-                    return MonteCarloResult(
-                        summary=summary,
-                        trajectories=tuple(batch.to_trajectories()),
-                        batch=batch,
-                    )
-                return MonteCarloResult(summary=summary, batch=batch)
-            trajectories = sample_parallel(
+                return MonteCarloResult(
+                    summary=self._summarize(trajectories, confidence),
+                    trajectories=tuple(trajectories),
+                )
+            batch = sample_parallel_batch(
                 self.simulator, seeds, processes, pool=pool, telemetry=telemetry
             )
-            if keep_trajectories:
-                summary = self._summarize(trajectories, confidence)
-                return MonteCarloResult(
-                    summary=summary, trajectories=tuple(trajectories)
-                )
-            # Events were recorded but the objects are not kept: ship the
-            # objects (they carry the events) but hand back only the batch.
-            batch = TrajectoryBatch.from_trajectories(trajectories)
-            return MonteCarloResult(
-                summary=self._summarize(batch, confidence), batch=batch
-            )
+            return self._batch_result(batch, confidence, keep_trajectories)
 
     def run(
         self,
@@ -500,7 +498,7 @@ class MonteCarlo:
         with _spans.span(
             "mc.run", {"n_runs": n_runs, "keep_trajectories": keep_trajectories}
         ):
-            if self.simulator.config.kernel == "vectorized":
+            if self._lockstep():
                 return self._run_vectorized(
                     n_runs, confidence, keep_trajectories, reporter
                 )
@@ -565,26 +563,23 @@ class MonteCarlo:
         keep_trajectories: bool,
         reporter: Optional[ProgressReporter],
     ) -> MonteCarloResult:
-        """:meth:`run` body for ``kernel="vectorized"``.
+        """:meth:`run` body for the lockstep kernel.
 
-        Fully vectorizable models consume one child seed stream per
-        lockstep *chunk* (of the configured ``chunk_trajectories``) —
-        spawning a stream per trajectory costs more than the kernel
-        spends simulating one.  Non-vectorizable models spawn per
-        trajectory exactly like the object path and loop the object
-        engine (bit-identical to ``kernel="object"``).  Chunks stream
-        straight into the accumulator; progress events fire at chunk
-        boundaries and, for watched runs, from inside the chunk loop at
-        calendar-fraction granularity, throttled to the same cadence as
-        the object path (:meth:`_progress_step`).  The in-chunk
-        callback never touches the RNG, so watched and silent runs are
-        bit-identical.
+        One child seed stream per lockstep *chunk* of the plan
+        (:meth:`_plan`) — spawning a stream per trajectory costs more
+        than the kernel spends simulating one.  (A ``kernel=
+        "vectorized"`` driver on a fallback model runs :meth:`run`'s
+        object-engine loop, bit-identical to ``kernel="object"``.)
+        Chunks stream straight into the accumulator; progress events
+        fire at chunk boundaries and, for watched runs, from inside the
+        chunk loop at calendar-fraction granularity, throttled to the
+        same cadence as the object path (:meth:`_progress_step`).  The
+        in-chunk callback never touches the RNG, so watched and silent
+        runs are bit-identical.
         """
         from repro.simulation.vectorized import (
             VectorizedKernel,
-            iter_vectorized_batches,
             simulate_plan_chunk,
-            vectorized_fallback_reason,
         )
 
         if n_runs < 1:
@@ -610,45 +605,32 @@ class MonteCarlo:
                 )
             )
 
-        if vectorized_fallback_reason(self.simulator) is None:
-            kernel = VectorizedKernel(self.simulator)
-            instr = self._resolve_instrumentation()
-            step = self._progress_step(n_runs)
-            for chunk in self._plan(n_runs):
-                callback = None
-                if reporter is not None:
-                    # Map the kernel's calendar fraction to equivalent
-                    # completed trajectories; emit at the object path's
-                    # cadence, leaving the boundary event to report().
-                    state = {"next": done + step}
-                    base, span = done, chunk.size
+        kernel = VectorizedKernel(self.simulator)
+        instr = self._resolve_instrumentation()
+        step = self._progress_step(n_runs)
+        for chunk in self._plan(n_runs):
+            callback = None
+            if reporter is not None:
+                # Map the kernel's calendar fraction to equivalent
+                # completed trajectories; emit at the object path's
+                # cadence, leaving the boundary event to report().
+                state = {"next": done + step}
+                base, span = done, chunk.size
 
-                    def callback(frac, state=state, base=base, span=span):
-                        equivalent = base + int(span * frac)
-                        if equivalent >= state["next"] and equivalent < base + span:
-                            state["next"] = equivalent + step
-                            report(equivalent)
+                def callback(frac, state=state, base=base, span=span):
+                    equivalent = base + int(span * frac)
+                    if equivalent >= state["next"] and equivalent < base + span:
+                        state["next"] = equivalent + step
+                        report(equivalent)
 
-                accumulator.add_batch(
-                    simulate_plan_chunk(kernel, chunk, instr, progress=callback)
-                )
-                done += chunk.size
-                report(done)
-        else:
-            seeds = self._seed_sequence.spawn(n_runs)
-            for batch_chunk in iter_vectorized_batches(self.simulator, seeds):
-                accumulator.add_batch(batch_chunk)
-                done += len(batch_chunk)
-                report(done)
-        batch = accumulator.finalize()
-        summary = self._summarize(batch, confidence)
-        if keep_trajectories:
-            return MonteCarloResult(
-                summary=summary,
-                trajectories=tuple(batch.to_trajectories()),
-                batch=batch,
+            accumulator.add_batch(
+                simulate_plan_chunk(kernel, chunk, instr, progress=callback)
             )
-        return MonteCarloResult(summary=summary, batch=batch)
+            done += chunk.size
+            report(done)
+        return self._batch_result(
+            accumulator.finalize(), confidence, keep_trajectories
+        )
 
     def run_rare_event(
         self,
@@ -749,8 +731,6 @@ class MonteCarlo:
         ``kernel`` that ran, ``n_samples`` (rows observed) and
         ``n_simulated`` (rows simulated, including a dropped tail).
         """
-        from repro.simulation.vectorized import vectorized_fallback_reason
-
         columns = _TARGETS.get(target)
         if columns is None:
             raise ValidationError(
@@ -768,10 +748,7 @@ class MonteCarlo:
             )
         reporter = self._resolve_progress(progress)
         statistics = RunningStatistics()
-        lockstep = (
-            self.simulator.config.kernel == "vectorized"
-            and vectorized_fallback_reason(self.simulator) is None
-        )
+        lockstep = self._lockstep()
         collected: List[Trajectory] = []
         # Without kept trajectory objects the batches are folded straight
         # into columnar form, so an open-ended sequential run keeps a
@@ -844,14 +821,7 @@ class MonteCarlo:
             built = accumulator.finalize()
             if n_simulated > n_samples:
                 built = built.head(n_samples)
-            summary = self._summarize(built, confidence)
-            if keep_trajectories:
-                return MonteCarloResult(
-                    summary=summary,
-                    trajectories=tuple(built.to_trajectories()),
-                    batch=built,
-                )
-            return MonteCarloResult(summary=summary, batch=built)
+            return self._batch_result(built, confidence, keep_trajectories)
 
     def _object_batches(
         self,

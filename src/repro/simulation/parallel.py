@@ -1,34 +1,27 @@
 """Multiprocessing support for Monte Carlo replication.
 
-Trajectories are embarrassingly parallel; this module fans batches out
-to worker processes.  Reproducibility is preserved exactly: the child
-RNG streams are derived from the root seed in the same order a serial
-run would use them, so ``run_parallel`` returns **bit-identical KPIs**
-to :meth:`repro.simulation.montecarlo.MonteCarlo.run` with the same
-seed, on both kernels and at any process count (the test suite
+Trajectories are embarrassingly parallel; this module fans chunks of
+them out to worker processes.  Reproducibility is preserved exactly: the
+child RNG streams are derived from the root seed in the same order a
+serial run would use them, so ``run_parallel`` returns **bit-identical
+KPIs** to :meth:`repro.simulation.montecarlo.MonteCarlo.run` with the
+same seed, on both kernels and at any process count (the test suite
 asserts this).
 
 Every pool is a :class:`SharedSimulationPool` (a call without one gets
-a pool scoped to the call); workers unpickle each simulator once and
-cache it by digest.  Per-trajectory work ships only a
-:class:`numpy.random.SeedSequence`, and lockstep work one whole chunk
+a pool scoped to the call), and every task is one envelope
+``(digest, blob, chunk, extras)`` for the one pool function,
+:func:`_shared_worker`.  ``blob`` is the pickled simulator; workers
+cache it, and the lockstep kernel compiled from it, by ``digest``.
+``chunk`` is either a :class:`~repro.simulation.vectorized.PlanChunk`
 of the serial chunk plan (:func:`~repro.simulation.vectorized.
-lockstep_plan`), whose batch comes back pickled.  Results come back in
-one of two shapes:
-
-* :func:`sample_parallel` — full :class:`~repro.simulation.trace.
-  Trajectory` object lists (needed when events or the objects
-  themselves are kept);
-* :func:`sample_parallel_batch` — packed
-  :class:`~repro.simulation.batch.TrajectoryBatch` columns.  Workers
-  reduce each trajectory to its KPI scalars immediately, and — for
-  seed lists, where POSIX shared memory is available — scatter the
-  columns straight into one pre-sized ``multiprocessing.shared_memory``
-  segment at their chunk's row offset (:mod:`repro.simulation.shm`), so
-  the result pipe carries only a tiny per-chunk handle and the driver
-  materializes the final batch with a single copy out of the segment
-  (zero-copy fold; bit-identical to the pickled fallback, which remains
-  for hosts without ``/dev/shm``).
+lockstep_plan`), run on the lockstep kernel, or a slice of
+per-trajectory seeds, run on the object engine.  The worker ships back
+packed :class:`~repro.simulation.batch.TrajectoryBatch` columns, unless
+the simulator records events: a batch does not carry them, so the
+:class:`~repro.simulation.trace.Trajectory` objects cross the pipe
+instead.  :func:`sample_parallel_batch` folds either payload into one
+batch; :func:`sample_parallel` folds them into an object list.
 
 A worker process dying (OOM-kill, segfault, ``os._exit``) surfaces as
 a :class:`~repro.errors.SimulationError` instead of a hang or an
@@ -37,11 +30,10 @@ opaque pool exception.
 Telemetry round-trip
 --------------------
 When the driver runs with telemetry attached (metrics, spans, or a
-progress reporter — see :class:`WorkerTelemetry`), each task addition-
-ally carries a tiny :class:`ChunkExtras` and each worker wraps its
-chunk in a fresh per-chunk :class:`~repro.observability.
-instrumentation.Instrumentation` and a ``worker.chunk`` span parented
-to the dispatching span's shipped
+progress reporter — see :class:`WorkerTelemetry`), ``extras`` is a tiny
+:class:`ChunkExtras` and the worker wraps its chunk in a fresh
+per-chunk :class:`~repro.observability.instrumentation.Instrumentation`
+and a ``worker.chunk`` span parented to the dispatching span's shipped
 :class:`~repro.observability.spans.SpanContext`.  The chunk result
 then ships ``(payload, worker registry, span record, pid, wall
 seconds)`` back; the driver folds the registry into the parent one
@@ -49,8 +41,8 @@ seconds)`` back; the driver folds the registry into the parent one
 collector, emits a progress event, and finally publishes per-worker
 utilization gauges (``sim.worker.<n>.chunks`` / ``.trajectories`` /
 ``.busy_seconds`` plus ``sim.workers``).  With no telemetry attached
-the legacy payload-only protocol is used — zero extra bytes on the
-pipe, zero worker-side overhead.
+``extras`` is None and the payload comes back bare — zero extra bytes
+on the pipe, zero worker-side overhead.
 """
 
 from __future__ import annotations
@@ -59,10 +51,11 @@ import hashlib
 import os
 import pickle
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,12 +70,6 @@ from repro.observability.progress import ProgressEvent
 from repro.observability.spans import Span, SpanCollector
 from repro.simulation.batch import TrajectoryAccumulator, TrajectoryBatch
 from repro.simulation.executor import FMTSimulator
-from repro.simulation.shm import (
-    ShmBatchWriter,
-    ShmChunkSpec,
-    shared_memory_available,
-    write_chunk_batch,
-)
 from repro.simulation.trace import Trajectory
 from repro.simulation.vectorized import (
     PlanChunk,
@@ -153,28 +140,57 @@ def simulate_batch(
 def simulate_batch_columns(
     simulator: FMTSimulator, seeds: Sequence[np.random.SeedSequence]
 ) -> TrajectoryBatch:
-    """Simulate one trajectory per seed, reduced to batch columns.
+    """Simulate one object-engine trajectory per seed, as batch columns.
 
     Each trajectory object is folded into the accumulator as soon as
     it is produced and becomes garbage immediately — resident memory
     is one trajectory plus the columns, regardless of ``len(seeds)``.
-
-    With ``SimulationConfig(kernel="vectorized")`` the chunk is routed
-    through the lockstep kernel instead (which itself falls back to the
-    object engine for non-vectorizable models) — this is the single
-    dispatch point shared by the in-process path and every worker
-    entrypoint.
+    The simulator's ``kernel`` setting is not consulted: lockstep runs
+    consume a chunk plan (:func:`~repro.simulation.vectorized.
+    lockstep_plan`), not a seed list.
     """
-    if simulator.config.kernel == "vectorized":
-        from repro.simulation.vectorized import simulate_batch_columns_vectorized
-
-        return simulate_batch_columns_vectorized(simulator, seeds)
     accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
     simulate = simulator.simulate
     add = accumulator.add
     for seed in seeds:
         add(simulate(np.random.default_rng(seed)))
     return accumulator.finalize()
+
+
+#: One task's chunk: a lockstep plan chunk or a slice of seeds.
+_Chunk = Union[PlanChunk, Sequence[np.random.SeedSequence]]
+
+
+class _CachedModel:
+    """A simulator and, compiled on first use, its lockstep kernel."""
+
+    __slots__ = ("simulator", "_kernel")
+
+    def __init__(self, simulator: FMTSimulator):
+        self.simulator = simulator
+        self._kernel: Optional[VectorizedKernel] = None
+
+    @property
+    def kernel(self) -> VectorizedKernel:
+        if self._kernel is None:
+            self._kernel = VectorizedKernel(self.simulator)
+        return self._kernel
+
+
+def _simulate_chunk(
+    model: _CachedModel, chunk: _Chunk, instr: Optional[Instrumentation] = None
+) -> Union[TrajectoryBatch, List[Trajectory]]:
+    """One chunk's payload: a batch, or objects when events are recorded.
+
+    A :class:`PlanChunk` runs on the lockstep kernel (timed into
+    ``instr``); a seed slice runs on the object engine, which reports
+    into the simulator's own instrumentation.
+    """
+    if isinstance(chunk, PlanChunk):
+        return simulate_plan_chunk(model.kernel, chunk, instr)
+    if model.simulator.config.record_events:
+        return simulate_batch(model.simulator, chunk)
+    return simulate_batch_columns(model.simulator, chunk)
 
 
 # ----------------------------------------------------------------------
@@ -187,23 +203,19 @@ class ChunkExtras:
     Picklable and tiny: the parent span's serialized
     :class:`~repro.observability.spans.SpanContext` (or None when
     tracing is off), whether to collect a per-chunk metrics registry,
-    the chunk's ordinal, and the result representation.
+    and the chunk's ordinal.
     """
 
     span_parent: Optional[Dict[str, str]]
     collect_metrics: bool
     chunk_index: int
-    as_batch: bool
-    #: Shared-memory write window for this chunk's columns; None keeps
-    #: the pickled result representation.
-    shm: Optional[ShmChunkSpec] = None
 
 
 @dataclass
 class ChunkResult:
     """What a telemetry-enabled worker ships back per chunk."""
 
-    payload: Any  # List[Trajectory] or TrajectoryBatch
+    payload: Any  # TrajectoryBatch, or List[Trajectory] with events
     registry: Optional[Any]  # MetricsRegistry, when metrics were collected
     span: Optional[Dict[str, Any]]  # completed span record
     pid: int
@@ -217,8 +229,7 @@ class WorkerTelemetry:
 
     Built by :meth:`MonteCarlo.run_parallel` from the explicit/ambient
     instrumentation, span collector, and progress reporter; ``None``
-    everywhere means the dispatch uses the legacy payload-only
-    protocol.
+    everywhere means tasks carry no :class:`ChunkExtras`.
     """
 
     instrumentation: Optional[Instrumentation] = None
@@ -237,11 +248,8 @@ class WorkerTelemetry:
         )
 
 
-def _run_chunk_with_telemetry(
-    simulator: FMTSimulator,
-    seeds: Sequence[np.random.SeedSequence],
-    extras: ChunkExtras,
-    run: Optional[Callable[[FMTSimulator, Any], Any]] = None,
+def _simulate_chunk_with_telemetry(
+    model: _CachedModel, chunk: _Chunk, extras: ChunkExtras
 ) -> ChunkResult:
     """Worker-side chunk execution with per-chunk telemetry.
 
@@ -258,114 +266,59 @@ def _run_chunk_with_telemetry(
             parent=extras.span_parent,
             attributes={
                 "chunk": extras.chunk_index,
-                "n_trajectories": len(seeds),
+                "n_trajectories": len(chunk),
                 "pid": os.getpid(),
             },
         )
-    if run is None:
-        run = simulate_batch_columns if extras.as_batch else simulate_batch
     start = time.perf_counter()
     registry = None
     if extras.collect_metrics:
         instrumentation = Instrumentation()
         registry = instrumentation.registry
+        simulator = model.simulator
         original = simulator.config
         simulator.config = replace(original, instrumentation=instrumentation)
         try:
-            payload = run(simulator, seeds)
+            payload = _simulate_chunk(model, chunk, instrumentation)
         finally:
             simulator.config = original
     else:
-        payload = run(simulator, seeds)
-    if extras.shm is not None and extras.as_batch:
-        # Columns go through the shared segment; only the tiny handle
-        # rides the result pipe.
-        payload = write_chunk_batch(payload, extras.shm)
+        payload = _simulate_chunk(model, chunk)
     seconds = time.perf_counter() - start
     return ChunkResult(
         payload=payload,
         registry=registry,
         span=span.end().to_dict() if span is not None else None,
         pid=os.getpid(),
-        n_trajectories=len(seeds),
+        n_trajectories=len(chunk),
         seconds=seconds,
     )
 
 
-# Shared-pool worker state: simulators cached by payload digest, so one
-# pool can serve many different studies and each worker unpickles a
-# given simulator at most once.
-_SHARED_SIMULATORS: Dict[str, FMTSimulator] = {}
+# Worker state: models cached by payload digest, so one pool can serve
+# many different studies and each worker unpickles a given simulator
+# (and compiles its lockstep kernel) at most once.
+_WORKER_MODELS: Dict[str, _CachedModel] = {}
 
-#: Cached simulators kept per shared-pool worker before the cache is
+#: Cached models kept per shared-pool worker before the cache is
 #: cleared; a study sweep touches a handful of simulators, and an
 #: unbounded cache would pin every model a long-lived pool ever saw.
 MAX_CACHED_SIMULATORS = 16
 
 
-def _shared_simulator(digest: str, blob: bytes) -> FMTSimulator:
-    simulator = _SHARED_SIMULATORS.get(digest)
-    if simulator is None:
-        if len(_SHARED_SIMULATORS) >= MAX_CACHED_SIMULATORS:
-            _SHARED_SIMULATORS.clear()
-        simulator = pickle.loads(blob)
-        _SHARED_SIMULATORS[digest] = simulator
-    return simulator
-
-
-# Compiled lockstep kernels, cached next to the simulators they serve.
-_SHARED_KERNELS: Dict[str, VectorizedKernel] = {}
-
-
-def _shared_worker_lockstep(
-    payload: Tuple[str, bytes, PlanChunk, Optional[ChunkExtras]],
+def _shared_worker(
+    task: Tuple[str, bytes, _Chunk, Optional[ChunkExtras]],
 ) -> Any:
-    """The lockstep worker: one whole plan chunk, one batch back."""
-    digest, blob, chunk, extras = payload
-    kernel = _SHARED_KERNELS.get(digest)
-    if kernel is None:
-        if len(_SHARED_KERNELS) >= MAX_CACHED_SIMULATORS:
-            _SHARED_KERNELS.clear()
-        kernel = VectorizedKernel(_shared_simulator(digest, blob))
-        _SHARED_KERNELS[digest] = kernel
+    """The one pool function: run one task envelope's chunk."""
+    digest, blob, chunk, extras = task
+    model = _WORKER_MODELS.get(digest)
+    if model is None:
+        if len(_WORKER_MODELS) >= MAX_CACHED_SIMULATORS:
+            _WORKER_MODELS.clear()
+        model = _WORKER_MODELS[digest] = _CachedModel(pickle.loads(blob))
     if extras is None:
-        return simulate_plan_chunk(kernel, chunk)
-
-    def run(simulator: FMTSimulator, chunk: PlanChunk) -> TrajectoryBatch:
-        # The chunk's fresh registry is swapped into the config.
-        return simulate_plan_chunk(kernel, chunk, simulator.config.instrumentation)
-
-    return _run_chunk_with_telemetry(kernel.simulator, chunk, extras, run)
-
-
-def _shared_worker_batch(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence]],
-) -> List[Trajectory]:
-    digest, blob, seeds = payload
-    return simulate_batch(_shared_simulator(digest, blob), seeds)
-
-
-def _shared_worker_batch_columns(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence]],
-) -> TrajectoryBatch:
-    digest, blob, seeds = payload
-    return simulate_batch_columns(_shared_simulator(digest, blob), seeds)
-
-
-def _shared_worker_batch_columns_shm(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence], ShmChunkSpec],
-):
-    digest, blob, seeds, spec = payload
-    return write_chunk_batch(
-        simulate_batch_columns(_shared_simulator(digest, blob), seeds), spec
-    )
-
-
-def _shared_worker_chunk_telemetry(
-    payload: Tuple[str, bytes, Sequence[np.random.SeedSequence], ChunkExtras],
-) -> ChunkResult:
-    digest, blob, seeds, extras = payload
-    return _run_chunk_with_telemetry(_shared_simulator(digest, blob), seeds, extras)
+        return _simulate_chunk(model, chunk)
+    return _simulate_chunk_with_telemetry(model, chunk, extras)
 
 
 class SharedSimulationPool:
@@ -429,16 +382,15 @@ def _chunk_seeds(
     seeds: Sequence[np.random.SeedSequence],
     processes: int,
     chunk_size: Optional[int],
-) -> Tuple[List[Sequence[np.random.SeedSequence]], int]:
+) -> List[Sequence[np.random.SeedSequence]]:
     if chunk_size is None:
         chunk_size = max(1, len(seeds) // (processes * 4))
     elif chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-    chunks = [
+    return [
         seeds[start:start + chunk_size]
         for start in range(0, len(seeds), chunk_size)
     ]
-    return chunks, chunk_size
 
 
 class _TelemetryFold:
@@ -501,43 +453,25 @@ class _TelemetryFold:
 
 def _dispatch_chunks(
     simulator: FMTSimulator,
-    seeds: Sequence[np.random.SeedSequence],
+    chunks: List[_Chunk],
     processes: int,
-    chunk_size: Optional[int],
     pool: Optional[SharedSimulationPool],
-    as_batch: bool,
     telemetry: Optional[WorkerTelemetry] = None,
-    prechunked: Optional[List[Sequence[np.random.SeedSequence]]] = None,
-    shm_writer: Optional[ShmBatchWriter] = None,
 ) -> Iterator:
-    """Yield per-chunk worker payloads in seed order.
+    """Yield per-chunk worker payloads in chunk order.
 
-    Shared machinery behind :func:`sample_parallel` and
-    :func:`sample_parallel_batch`.  Without ``pool``, a
-    :class:`SharedSimulationPool` scoped to the call (no larger than
-    the chunk count) serves the chunks.  ``as_batch`` selects the worker
-    representation (object lists vs packed columns).  With an active
+    Without ``pool``, a :class:`SharedSimulationPool` scoped to the call
+    (no larger than the chunk count) serves the chunks.  With an active
     :class:`WorkerTelemetry`, tasks carry :class:`ChunkExtras`, workers
     return :class:`ChunkResult`, and the telemetry is folded driver-
-    side as each chunk completes.  With a :class:`ShmBatchWriter`
-    (batch representation only) each task carries its chunk's
-    :class:`~repro.simulation.shm.ShmChunkSpec`, workers scatter their
-    columns into the shared segment, and the yielded payloads are
-    :class:`~repro.simulation.shm.ShmChunkHandle` records.  Prechunked
-    :class:`~repro.simulation.vectorized.PlanChunk` tasks go to the
-    lockstep worker.
+    side as each chunk completes.
     """
     if telemetry is not None and not telemetry.active:
         telemetry = None
-    if prechunked is not None:
-        chunks = prechunked
-    else:
-        chunks, chunk_size = _chunk_seeds(seeds, processes, chunk_size)
     if pool is None:
         with SharedSimulationPool(max(1, min(processes, len(chunks)))) as scoped:
             yield from _dispatch_chunks(
-                simulator, seeds, processes, chunk_size, scoped, as_batch,
-                telemetry, chunks, shm_writer,
+                simulator, chunks, processes, scoped, telemetry
             )
         return
     total = sum(len(chunk) for chunk in chunks)
@@ -548,54 +482,32 @@ def _dispatch_chunks(
             processes=processes,
             chunks=len(chunks),
             chunk_size=max(len(chunk) for chunk in chunks) if chunks else 0,
-            as_batch=as_batch,
             telemetry=telemetry is not None,
-            shm=shm_writer is not None,
         )
     )
     fold = _TelemetryFold(telemetry, total) if telemetry is not None else None
-    extras = None
-    if telemetry is not None:
-        extras = [
-            ChunkExtras(
-                span_parent=telemetry.span_parent,
-                collect_metrics=telemetry.instrumentation is not None,
-                chunk_index=index,
-                as_batch=as_batch,
-                shm=(
-                    shm_writer.spec(index) if shm_writer is not None else None
-                ),
-            )
-            for index in range(len(chunks))
-        ]
     completed = 0
     try:
         blob = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
-        lockstep = bool(chunks) and isinstance(chunks[0], PlanChunk)
-        if lockstep or extras is not None:
-            payloads: List[Tuple] = [
-                (digest, blob, chunk, extras[index] if extras else None)
-                for index, chunk in enumerate(chunks)
-            ]
-            worker = (
-                _shared_worker_lockstep
-                if lockstep
-                else _shared_worker_chunk_telemetry
+        tasks = [
+            (
+                digest,
+                blob,
+                chunk,
+                None
+                if telemetry is None
+                else ChunkExtras(
+                    span_parent=telemetry.span_parent,
+                    collect_metrics=telemetry.instrumentation is not None,
+                    chunk_index=index,
+                ),
             )
-        elif shm_writer is not None:
-            payloads = [
-                (digest, blob, chunk, shm_writer.spec(index))
-                for index, chunk in enumerate(chunks)
-            ]
-            worker = _shared_worker_batch_columns_shm
-        else:
-            payloads = [(digest, blob, chunk) for chunk in chunks]
-            worker = (
-                _shared_worker_batch_columns if as_batch else _shared_worker_batch
-            )
-        for index, result in enumerate(pool.executor().map(worker, payloads)):
-            completed += len(chunks[index])
+            for index, chunk in enumerate(chunks)
+        ]
+        results = pool.executor().map(_shared_worker, tasks)
+        for chunk, result in zip(chunks, results):
+            completed += len(chunk)
             yield fold.fold(result) if fold is not None else result
         if fold is not None:
             fold.finish()
@@ -616,6 +528,35 @@ def _dispatch_chunks(
         ) from exc
 
 
+def _payloads(
+    simulator: FMTSimulator,
+    seeds: Union[Sequence[np.random.SeedSequence], Sequence[PlanChunk]],
+    processes: int,
+    chunk_size: Optional[int],
+    pool: Optional[SharedSimulationPool],
+    telemetry: Optional[WorkerTelemetry],
+) -> Iterator:
+    """Per-chunk payloads of a seed list or a lockstep plan, in order.
+
+    The one dispatcher behind both public folds.  A plan is chunked as
+    given; a seed list into ``chunk_size`` slices.  One process runs the
+    chunks in-process, more go through :func:`_dispatch_chunks`.
+    """
+    if pool is not None:
+        processes = pool.processes
+    if processes < 1:
+        raise ValidationError(f"processes must be >= 1, got {processes}")
+    if seeds and isinstance(seeds[0], PlanChunk):
+        chunks = list(seeds)
+    else:
+        chunks = _chunk_seeds(seeds, processes, chunk_size)
+    if processes > 1:
+        return _dispatch_chunks(simulator, chunks, processes, pool, telemetry)
+    model = _CachedModel(simulator)
+    instr = telemetry.instrumentation if telemetry is not None else None
+    return (_simulate_chunk(model, chunk, instr) for chunk in chunks)
+
+
 def sample_parallel(
     simulator: FMTSimulator,
     seeds: Sequence[np.random.SeedSequence],
@@ -634,25 +575,25 @@ def sample_parallel(
     metric/span/progress round-trip (see the module docstring) —
     trajectories are bit-identical with or without it.
 
+    A simulator that records events ships its trajectory objects;
+    otherwise the objects are rebuilt from the workers' batch columns
+    (:meth:`~repro.simulation.batch.TrajectoryBatch.to_trajectories`),
+    which gives ``==`` objects.
+
     Raises
     ------
     SimulationError
         If a worker process dies (the pool is then unusable); the
         original pool exception is chained as ``__cause__``.
     """
-    if pool is not None:
-        processes = pool.processes
-    if processes < 1:
-        raise ValidationError(f"processes must be >= 1, got {processes}")
-    if processes == 1:
-        return simulate_batch(simulator, seeds)
-    results: List[Trajectory] = []
-    for chunk in _dispatch_chunks(
-        simulator, seeds, processes, chunk_size, pool, as_batch=False,
-        telemetry=telemetry,
+    trajectories: List[Trajectory] = []
+    for payload in _payloads(
+        simulator, seeds, processes, chunk_size, pool, telemetry
     ):
-        results.extend(chunk)
-    return results
+        if isinstance(payload, TrajectoryBatch):
+            payload = payload.to_trajectories()
+        trajectories.extend(payload)
+    return trajectories
 
 
 def sample_parallel_batch(
@@ -666,73 +607,35 @@ def sample_parallel_batch(
 ) -> TrajectoryBatch:
     """Like :func:`sample_parallel`, returning packed batch columns.
 
-    Workers ship :class:`~repro.simulation.batch.TrajectoryBatch`
-    columns instead of pickled object lists — the resulting batch's
-    columns (and hence every KPI computed from them) are bit-identical
-    to ``TrajectoryBatch.from_trajectories(sample_parallel(...))``,
-    while resident memory stays O(columns).
-
-    By default (``use_shared_memory=None`` → on where supported) the
-    columns never ride the result pipe at all: the driver pre-sizes one
-    ``multiprocessing.shared_memory`` segment from the chunk plan,
-    workers scatter their columns into it at their chunk's row offset,
-    and the driver materializes the final batch with a single copy out
-    of the segment (see :mod:`repro.simulation.shm`).  The segment is
-    unlinked in a ``finally`` even when a worker crashes.  Pass
-    ``use_shared_memory=False`` to force the pickled fold — the result
-    is bit-identical either way (the test suite asserts it).
+    The batch's columns (and hence every KPI computed from them) are
+    bit-identical to ``TrajectoryBatch.from_trajectories(
+    sample_parallel(...))``, while resident memory stays O(columns):
+    each worker payload is folded into one accumulator as it arrives.
 
     ``seeds`` may instead be a lockstep chunk plan, a list of
     :class:`~repro.simulation.vectorized.PlanChunk` for a lockstep-
-    eligible simulator: each worker task is then one whole chunk, its
-    batch comes back pickled, and the batches fold in plan order — the
-    serial run of the plan at any process count (``chunk_size`` and
-    ``use_shared_memory`` do not apply).
+    eligible simulator: each worker task is then one whole chunk, and
+    the batches fold in plan order — the serial run of the plan at any
+    process count (``chunk_size`` does not apply).
+
+    ``use_shared_memory`` is deprecated and ignored (the shared-memory
+    fold was removed; columns always come back through the result
+    pipe).  Passing it warns; the result is the same either way.
     """
-    if pool is not None:
-        processes = pool.processes
-    if processes < 1:
-        raise ValidationError(f"processes must be >= 1, got {processes}")
-    plan = bool(seeds) and isinstance(seeds[0], PlanChunk)
-    if processes == 1 and plan:
-        kernel = VectorizedKernel(simulator)
-        instr = telemetry.instrumentation if telemetry is not None else None
-        return TrajectoryBatch.merge(
-            [simulate_plan_chunk(kernel, chunk, instr) for chunk in seeds]
+    if use_shared_memory is not None:
+        warnings.warn(
+            "sample_parallel_batch(use_shared_memory=...) is deprecated "
+            "and ignored: worker columns always come back through the "
+            "result pipe",
+            DeprecationWarning,
+            stacklevel=2,
         )
-    if processes == 1:
-        return simulate_batch_columns(simulator, seeds)
-    chunks = list(seeds) if plan else _chunk_seeds(seeds, processes, chunk_size)[0]
-    writer = None
-    if use_shared_memory is None:
-        use_shared_memory = shared_memory_available()
-    if use_shared_memory and shared_memory_available() and not plan:
-        try:
-            writer = ShmBatchWriter(
-                simulator.config.horizon, [len(chunk) for chunk in chunks]
-            )
-        except OSError as exc:  # pragma: no cover - constrained /dev/shm
-            logger.warning(
-                kv("shared-memory segment unavailable", error=repr(exc))
-            )
-            writer = None
-    try:
-        if writer is not None:
-            handles = list(
-                _dispatch_chunks(
-                    simulator, seeds, processes, chunk_size, pool,
-                    as_batch=True, telemetry=telemetry, prechunked=chunks,
-                    shm_writer=writer,
-                )
-            )
-            return writer.finalize(handles)
-        accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
-        for chunk in _dispatch_chunks(
-            simulator, seeds, processes, chunk_size, pool, as_batch=True,
-            telemetry=telemetry, prechunked=chunks,
-        ):
-            accumulator.add_batch(chunk)
-        return accumulator.finalize()
-    finally:
-        if writer is not None:
-            writer.close()
+    accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
+    for payload in _payloads(
+        simulator, seeds, processes, chunk_size, pool, telemetry
+    ):
+        if isinstance(payload, TrajectoryBatch):
+            accumulator.add_batch(payload)
+        else:
+            accumulator.extend(payload)
+    return accumulator.finalize()

@@ -46,6 +46,7 @@ fixtures keep ``kernel="object"``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -87,10 +88,10 @@ def vectorized_fallback_reason(simulator: FMTSimulator) -> Optional[str]:
     """Why ``simulator``'s model cannot run on the lockstep kernel.
 
     Returns None when the model is fully vectorizable, otherwise a
-    human-readable reason.  The driver (:func:`iter_vectorized_batches`)
-    falls back to the object engine — the oracle — for any non-None
-    reason, so a conservative classification costs throughput, never
-    correctness.
+    human-readable reason.  The drivers (:class:`~repro.simulation.
+    montecarlo.MonteCarlo`) fall back to the object engine — the
+    oracle — for any non-None reason, so a conservative classification
+    costs throughput, never correctness.
     """
     tree = simulator.tree
     events = simulator._events
@@ -1333,23 +1334,13 @@ def simulate_plan_chunk(
     return batch
 
 
-def iter_vectorized_batches(
+def _seed_list_batches(
     simulator: FMTSimulator,
     seeds: Sequence[np.random.SeedSequence],
-    chunk_size: Optional[int] = None,
+    chunk_size: Optional[int],
 ) -> Iterator[TrajectoryBatch]:
-    """Yield one :class:`TrajectoryBatch` per lockstep chunk of seeds.
-
-    Non-vectorizable models transparently run each seed through the
-    object engine instead (bit-identical to ``kernel="object"``); fully
-    vectorizable models derive each chunk's RNG from a child of the
-    chunk's first seed, so results are deterministic for a fixed chunk
-    layout but not bit-comparable with the object path.  ``chunk_size``
-    defaults to the simulator's configured ``chunk_trajectories``.
-    """
-    n_total = len(seeds)
-    if n_total == 0:
-        return
+    """The deprecated seed-list scheme: one batch per ``chunk_size``
+    seeds, a lockstep chunk drawing from a child of its first seed."""
     if chunk_size is None:
         chunk_size = simulator.config.chunk_trajectories
     instr = simulator.config.instrumentation
@@ -1357,18 +1348,46 @@ def iter_vectorized_batches(
         instr = _obs.current()
     reason = vectorized_fallback_reason(simulator)
     kernel = None if reason is not None else VectorizedKernel(simulator)
-    for start in range(0, n_total, chunk_size):
+    for start in range(0, len(seeds), chunk_size):
         chunk = seeds[start : start + chunk_size]
         if kernel is None:
             accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
             for seed in chunk:
                 accumulator.add(simulator.simulate(np.random.default_rng(seed)))
-            batch = accumulator.finalize()
+            yield accumulator.finalize()
         else:
-            batch = simulate_plan_chunk(
+            yield simulate_plan_chunk(
                 kernel, PlanChunk(start, len(chunk), chunk[0].spawn(1)[0]), instr
             )
-        yield batch
+
+
+def _warn_seed_list(name: str) -> None:
+    warnings.warn(
+        f"{name} is deprecated: its seed-list scheme (one lockstep chunk "
+        "per chunk_size seeds, drawing from a child of the chunk's first "
+        "seed) is not the one studies run; use MonteCarlo(..., "
+        "kernel='vectorized').run(n_runs), or lockstep_plan with "
+        "simulate_plan_chunk",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+
+
+def iter_vectorized_batches(
+    simulator: FMTSimulator,
+    seeds: Sequence[np.random.SeedSequence],
+    chunk_size: Optional[int] = None,
+) -> Iterator[TrajectoryBatch]:
+    """Deprecated: one :class:`TrajectoryBatch` per lockstep chunk of seeds.
+
+    Non-vectorizable models run each seed through the object engine
+    (bit-identical to ``kernel="object"``); fully vectorizable models
+    derive each chunk's RNG from a child of the chunk's first seed — a
+    scheme no study uses (studies follow :func:`lockstep_plan`).
+    ``chunk_size`` defaults to the simulator's ``chunk_trajectories``.
+    """
+    _warn_seed_list("iter_vectorized_batches")
+    return _seed_list_batches(simulator, seeds, chunk_size)
 
 
 def simulate_batch_columns_vectorized(
@@ -1376,13 +1395,9 @@ def simulate_batch_columns_vectorized(
     seeds: Sequence[np.random.SeedSequence],
     chunk_size: Optional[int] = None,
 ) -> TrajectoryBatch:
-    """Columnar results for ``seeds`` via the lockstep kernel.
-
-    Drop-in counterpart of
-    :func:`repro.simulation.parallel.simulate_batch_columns` for
-    ``SimulationConfig(kernel="vectorized")`` simulators.
-    """
+    """Deprecated: :func:`iter_vectorized_batches`, merged into one batch."""
+    _warn_seed_list("simulate_batch_columns_vectorized")
     accumulator = TrajectoryAccumulator(horizon=simulator.config.horizon)
-    for batch in iter_vectorized_batches(simulator, seeds, chunk_size):
+    for batch in _seed_list_batches(simulator, seeds, chunk_size):
         accumulator.add_batch(batch)
     return accumulator.finalize()

@@ -1,10 +1,12 @@
-"""One lockstep chunk plan: answers independent of how a run executes.
+"""One chunk plan: answers independent of how a run executes.
 
 A lockstep (``kernel="vectorized"``) run is a pure function of its
 seed, run count and chunk size.  Serial or parallel, on any number of
 processes, on a shared or a call-scoped pool, watched or silent, the
 summary is the same bit for bit, because every path consumes the same
-chunks of :func:`repro.simulation.vectorized.lockstep_plan`.
+chunks of :func:`repro.simulation.vectorized.lockstep_plan`.  An
+object-engine run takes one stream per trajectory and is as exact,
+kept trajectories and recorded events included.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ def pools():
 _MODEL = _small_model()
 
 
+@pytest.mark.parametrize("kernel", ["object", "vectorized"])
 @given(
     n_runs=st.integers(min_value=1, max_value=120),
     chunk=st.integers(min_value=1, max_value=64),
@@ -142,32 +145,46 @@ _MODEL = _small_model()
     pooled=st.booleans(),
     watched=st.booleans(),
     parallel=st.booleans(),
+    keep=st.booleans(),
+    record_events=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=40, deadline=None)
-def test_lockstep_answer_independent_of_execution(
-    pools, n_runs, chunk, processes, pooled, watched, parallel, seed
+def test_answer_independent_of_execution(
+    pools, kernel, n_runs, chunk, processes, pooled, watched, parallel, keep,
+    record_events, seed,
 ):
+    """Summaries and kept trajectories (events included when recorded)
+    are the same serial or pooled, on any process count, watched or
+    silent; no pooled run creates a shared-memory segment."""
     tree, strategy = _MODEL
+    # The lockstep kernel records no events (the config rejects it).
+    record_events = record_events and kernel == "object"
 
     def driver(**kwargs):
         return MonteCarlo(
-            tree, strategy, horizon=3.0, seed=seed, kernel="vectorized",
-            chunk_trajectories=chunk, **kwargs,
+            tree, strategy, horizon=3.0, seed=seed, kernel=kernel,
+            chunk_trajectories=chunk, record_events=record_events, **kwargs,
         )
 
-    reference = driver().run(n_runs).summary
-    kwargs = {}
+    reference = driver().run(n_runs, keep_trajectories=keep)
+    kwargs = {"keep_trajectories": keep}
     if watched:
         kwargs["progress"] = JsonlProgressReporter(stream=io.StringIO())
     mc = driver(instrumentation=Instrumentation() if watched else None)
+    before = _segments()
     if parallel:
         pool = pools[processes] if pooled else None
         result = mc.run_parallel(n_runs, processes=processes, pool=pool, **kwargs)
     else:
         result = mc.run(n_runs, **kwargs)
-    assert result.summary == reference
-    assert mc._streams_used == -(-n_runs // chunk)
+    assert _segments() == before
+    assert result.summary == reference.summary
+    assert result.trajectories == reference.trajectories
+    if keep and record_events:
+        assert all(t.events_recorded for t in result.trajectories)
+    streams = -(-n_runs // chunk) if kernel == "vectorized" else n_runs
+    assert mc._streams_used == streams
     if watched:
         counters = mc.instrumentation.registry.to_dict()["counters"]
         assert counters[obs.SIM_TRAJECTORIES] == n_runs

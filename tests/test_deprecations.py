@@ -104,3 +104,99 @@ def test_cli_command_first_is_warning_free(capsys):
         warnings.simplefilter("error", DeprecationWarning)
         assert main(["table1", "--quick"]) == 0
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# Parallel dispatch (simplicity: one worker, no shared-memory fold)
+# ----------------------------------------------------------------------
+def _batches_equal(a, b):
+    import numpy as np
+
+    assert a.horizon == b.horizon
+    for name in (
+        "failure_times",
+        "failure_offsets",
+        "downtime",
+        "n_inspections",
+        "n_preventive_actions",
+        "n_corrective_replacements",
+    ):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.costs.keys() == b.costs.keys()
+    for field in a.costs:
+        assert np.array_equal(a.costs[field], b.costs[field]), field
+
+
+def test_use_shared_memory_keyword_warns_and_is_ignored(
+    maintained_tree, inspection_strategy
+):
+    import numpy as np
+
+    from repro.simulation.executor import FMTSimulator
+    from repro.simulation.parallel import sample_parallel_batch
+
+    simulator = FMTSimulator(maintained_tree, inspection_strategy, horizon=25.0)
+
+    def run(**kwargs):
+        seeds = np.random.SeedSequence(42).spawn(24)
+        return sample_parallel_batch(
+            simulator, seeds, processes=2, chunk_size=7, **kwargs
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        reference = run()
+    for flag in (True, False):
+        with pytest.warns(DeprecationWarning, match="use_shared_memory"):
+            batch = run(use_shared_memory=flag)
+        _batches_equal(batch, reference)
+
+
+def test_seed_list_vectorized_drivers_warn_and_keep_their_scheme():
+    import numpy as np
+
+    from repro.core.builder import FMTBuilder
+    from repro.maintenance.strategy import MaintenanceStrategy
+    from repro.simulation.batch import TrajectoryBatch
+    from repro.simulation.executor import FMTSimulator, SimulationConfig
+    from repro.simulation.vectorized import (
+        PlanChunk,
+        VectorizedKernel,
+        iter_vectorized_batches,
+        simulate_batch_columns_vectorized,
+        simulate_plan_chunk,
+    )
+
+    builder = FMTBuilder("seed-list")
+    builder.degraded_event("a", phases=3, mean=6.0, threshold=2)
+    builder.degraded_event("b", phases=2, mean=9.0, threshold=1)
+    builder.or_gate("top", ["a", "b"])
+    simulator = FMTSimulator(
+        builder.build("top"),
+        MaintenanceStrategy.none(),
+        config=SimulationConfig(horizon=20.0, kernel="vectorized"),
+    )
+
+    def seeds():
+        return np.random.SeedSequence(5).spawn(50)
+
+    # The seed-list scheme: one lockstep chunk per chunk_size seeds,
+    # drawing from a child of the chunk's first seed.
+    kernel = VectorizedKernel(simulator)
+    expected = TrajectoryBatch.merge(
+        [
+            simulate_plan_chunk(
+                kernel, PlanChunk(start, len(chunk), chunk[0].spawn(1)[0])
+            )
+            for start, chunk in ((s, seeds()[s:s + 20]) for s in (0, 20, 40))
+        ]
+    )
+    with pytest.warns(DeprecationWarning, match="iter_vectorized_batches"):
+        chunks = list(iter_vectorized_batches(simulator, seeds(), chunk_size=20))
+    assert [len(chunk) for chunk in chunks] == [20, 20, 10]
+    _batches_equal(TrajectoryBatch.merge(chunks), expected)
+    with pytest.warns(DeprecationWarning, match="simulate_batch_columns_vectorized"):
+        merged = simulate_batch_columns_vectorized(
+            simulator, seeds(), chunk_size=20
+        )
+    _batches_equal(merged, expected)

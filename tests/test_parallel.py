@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import SimulationError, ValidationError
 from repro.maintenance.strategy import MaintenanceStrategy
-from repro.simulation.executor import FMTSimulator
+from repro.simulation.executor import FMTSimulator, SimulationConfig
 from repro.simulation.montecarlo import MonteCarlo
 from repro.simulation.parallel import (
     MAX_DEFAULT_PROCESSES,
@@ -238,6 +238,9 @@ def test_run_parallel_streams_batch(maintained_tree, inspection_strategy):
 
 class _CrashingSimulator:
     """Stand-in whose worker dies abruptly (not a Python exception)."""
+
+    # Workers read the config to choose the payload (columns vs objects).
+    config = SimulationConfig(horizon=1.0)
 
     def simulate(self, rng):
         os._exit(17)

@@ -211,11 +211,22 @@ def test_iter_vectorized_batches_covers_all_seeds():
     tree = _two_event_tree()
     seeds = np.random.SeedSequence(5).spawn(1000)
     sim = _simulator(tree, MaintenanceStrategy.none())
-    total = sum(
-        len(chunk)
-        for chunk in iter_vectorized_batches(sim, seeds, chunk_size=256)
+    with pytest.warns(DeprecationWarning, match="iter_vectorized_batches"):
+        chunks = iter_vectorized_batches(sim, seeds, chunk_size=256)
+    assert sum(len(chunk) for chunk in chunks) == 1000
+
+
+@pytest.mark.parametrize("kernel", ["object", "vectorized"])
+def test_compare_kernels_checks_the_plan_studies_run(kernel):
+    """Each side of the parity check is the study a driver runs."""
+    tree, strategy, costs = build_ei_joint_fmt(), current_policy(), default_cost_model()
+    report = compare_kernels(
+        tree, strategy, horizon=10.0, cost_model=costs, n_runs=400, seed=31
     )
-    assert total == 1000
+    study = MonteCarlo(
+        tree, strategy, horizon=10.0, cost_model=costs, seed=31, kernel=kernel
+    ).run(400)
+    assert getattr(report, f"{kernel}_summary") == study.summary
 
 
 # ----------------------------------------------------------------------
