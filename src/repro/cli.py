@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro._version import __version__
 from repro.experiments import ExperimentConfig
@@ -213,11 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--kernel",
-        default=None,
-        choices=["object", "vectorized"],
-        help="sampling kernel ('object' is the event-loop reference "
-        "engine; 'vectorized' is the lockstep numpy kernel, "
-        "statistically equivalent but not bit-identical)",
+        default="auto",
+        choices=["auto", "object", "vectorized"],
+        help="sampling kernel ('auto', the default, runs the lockstep "
+        "numpy kernel when the model allows it and the object engine "
+        "otherwise; 'object' is the event-loop reference engine; "
+        "'vectorized' is the lockstep kernel, statistically equivalent "
+        "but not bit-identical)",
     )
     simulate.add_argument(
         "--chunk-size",
@@ -395,20 +396,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     horizon = args.horizon if args.horizon is not None else 50.0
     n_runs = args.runs if args.runs is not None else 2000
     seed = args.seed if args.seed is not None else 0
-    kernel = args.kernel if args.kernel is not None else "object"
     request = {
         "tree": tree, "strategy": strategy, "horizon": horizon,
-        "seed": seed, "n_runs": n_runs, "kernel": kernel,
+        "seed": seed, "n_runs": n_runs, "kernel": args.kernel,
     }
     if args.chunk_size is not None:
         request["chunk_trajectories"] = args.chunk_size
-    summary = get_runner().summary(StudyRequest(**request))
+    runner = get_runner()
+    resolved, reason = runner.resolve(StudyRequest(**request))
+    summary = runner.summary(resolved)
+    # An explicit vectorized request on a fallback model runs the
+    # object engine, with the reason.
+    kernel = "object" if reason is not None else resolved.kernel
     print(tree)
     print(f"strategy: {strategy}")
     print(
         f"horizon {horizon:g}y, {n_runs} trajectories, seed {seed}, "
         f"{kernel} kernel"
     )
+    if reason is not None:
+        print(f"  ({args.kernel} kernel requested; object engine: {reason})")
     print(f"  unreliability : {summary.unreliability}")
     print(f"  failures/yr   : {summary.failures_per_year}")
     print(f"  availability  : {summary.availability}")
@@ -568,37 +575,9 @@ def _check_writable(path: str, flag: str) -> Optional[str]:
     return None
 
 
-def _normalize_argv(argv: Sequence[str]) -> List[str]:
-    """Back-compat shim for the pre-subparser CLI.
-
-    The historical hand-rolled parser accepted global options *before*
-    the command (``repro --quick fig5``); subparsers require the
-    command first.  When the first token is an option but a known
-    command appears later, the command is rotated to the front and a
-    :class:`DeprecationWarning` is emitted.  Command-first invocations
-    (every documented form) pass through untouched.
-    """
-    argv = list(argv)
-    if not argv or not argv[0].startswith("-"):
-        return argv
-    if argv[0] in ("-h", "--help", "--version"):
-        return argv
-    known = set(_known_commands())
-    for index, token in enumerate(argv):
-        if token in known:
-            warnings.warn(
-                "passing options before the command is deprecated; write "
-                f"'python -m repro {token} [options]' instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return [token] + argv[:index] + argv[index + 1:]
-    return argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     if not argv:
         parser.print_usage(sys.stderr)

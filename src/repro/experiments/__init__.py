@@ -11,8 +11,6 @@ The modules are imported here in the paper's evaluation order, which
 fixes the registry's iteration order.
 """
 
-import warnings
-
 from repro.experiments.common import ExperimentConfig, ExperimentResult
 from repro.experiments.registry import (
     experiment_ids,
@@ -48,19 +46,4 @@ __all__ = [
     "get_experiment",
     "iter_experiments",
     "experiment_ids",
-    "EXPERIMENTS",
 ]
-
-
-def __getattr__(name: str):
-    if name == "EXPERIMENTS":
-        # Deprecated hard-coded registry dict (pre-registry API); the
-        # snapshot below is equivalent but no longer the source of truth.
-        warnings.warn(
-            "repro.experiments.EXPERIMENTS is deprecated; use "
-            "repro.experiments.registry (get_experiment / iter_experiments)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return dict(iter_experiments())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

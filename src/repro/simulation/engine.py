@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -72,26 +71,6 @@ class ScheduledEvent:
         if engine is not None:
             self._engine = None
             engine._note_cancelled()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        """Deprecated: the calendar no longer orders events by handle.
-
-        Heap entries are plain ``(time, priority, seq, handle)`` tuples
-        whose unique ``seq`` decides every comparison, so this method is
-        never called by the engine anymore.  It is kept as a shim for
-        code that sorted handles directly.
-        """
-        warnings.warn(
-            "ScheduledEvent ordering is deprecated; compare "
-            "(event.time, event.priority, event.seq) tuples instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self.cancelled else "pending"

@@ -1,29 +1,38 @@
 """Monte Carlo replication driver with confidence intervals.
 
-:class:`MonteCarlo` owns the reproducibility story: a single integer
-seed expands via :class:`numpy.random.SeedSequence` into independent
-child RNG streams, spawned in order.  The object engine takes one
-stream per trajectory, so its results are invariant to batching.  The
-lockstep vectorized kernel takes one stream per chunk of
-``chunk_trajectories`` rows (:func:`~repro.simulation.vectorized.
-lockstep_plan`), so its results are reproducible for a fixed seed and
-chunk size, but a different chunk size samples different trajectories.
-On either kernel, serial and parallel runs are bit-identical at any
-process count.
+:class:`MonteCarlo` owns the reproducibility story.  A single integer
+seed expands via :class:`numpy.random.SeedSequence` into child RNG
+streams, and :meth:`MonteCarlo._plan` is the one place that spawns
+them: it cuts a run into a chunk plan, spawning each chunk's streams
+in order when the chunk is made.  A lockstep chunk
+(:func:`~repro.simulation.vectorized.lockstep_plan`) is
+``chunk_trajectories`` rows on one stream, so lockstep results are
+reproducible for a fixed seed and chunk size.  An object-engine chunk
+is a run of per-trajectory streams, so object results are invariant
+to how the run is chunked.
 
-Two modes are provided: a fixed replication count (:meth:`MonteCarlo.run`)
-and sequential estimation to a target relative precision
-(:meth:`MonteCarlo.run_to_precision`), mirroring the statistical
-model-checking workflow the paper's analyses used.  Both draw
-vectorized chunks from the same plan (:meth:`MonteCarlo._plan`), so a
-sequential run's rows are a prefix of the fixed-count run's rows.
+Two modes mirror the statistical model-checking workflow the paper's
+analyses used: a fixed replication count (:meth:`MonteCarlo.run`) and
+sequential estimation to a target relative precision
+(:meth:`MonteCarlo.run_to_precision`).
+
+One private driver, :meth:`MonteCarlo._drive`, runs every plan: chunk
+source (in-process through :func:`~repro.simulation.parallel.
+_simulate_chunk`, or the pool) → one sink (a
+:class:`~repro.simulation.batch.TrajectoryAccumulator`) → one progress
+hook, with an optional stop rule.  :meth:`~MonteCarlo.run`,
+:meth:`~MonteCarlo.run_parallel`, :meth:`~MonteCarlo.run_to_precision`,
+:meth:`~MonteCarlo.sample` and :meth:`~MonteCarlo.sample_batch` are
+thin wrappers over it, so serial and pooled runs are bit-identical at
+any process count, watched runs equal silent ones, and a sequential
+run's rows are a prefix of the fixed-count run's rows.
 """
 
 from __future__ import annotations
 
 import time as _time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -49,6 +58,7 @@ from repro.observability.progress import (
     ProgressReporter,
     current_progress,
 )
+from repro.simulation import parallel
 from repro.simulation.batch import TrajectoryAccumulator, TrajectoryBatch
 from repro.simulation.executor import (
     DEFAULT_CHUNK_TRAJECTORIES,
@@ -57,36 +67,29 @@ from repro.simulation.executor import (
 )
 from repro.simulation.metrics import (
     KpiSummary,
-    Trajectories,
     reliability_curve,
     summarize,
 )
 from repro.simulation.trace import Trajectory
+from repro.simulation.vectorized import lockstep_plan, vectorized_fallback_reason
 from repro.stats.confidence import ConfidenceInterval
 from repro.stats.sequential import RelativePrecisionRule, RunningStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.rareevent.estimator import RareEventConfig, RareEventResult
-    from repro.simulation.parallel import SharedSimulationPool
-    from repro.simulation.vectorized import PlanChunk
 
 __all__ = ["MonteCarlo", "MonteCarloResult"]
 
 logger = get_logger(__name__)
 
 #: Statistics :meth:`MonteCarlo.run_to_precision` can control: the
-#: per-trajectory value, read from a trajectory object and from the
-#: columns of a :class:`~repro.simulation.batch.TrajectoryBatch`.
+#: per-trajectory value, read from the columns of a
+#: :class:`~repro.simulation.batch.TrajectoryBatch` (the same floats
+#: the trajectory objects give).
 _TARGETS = {
-    "failures": (
-        lambda t: float(t.n_failures),
-        lambda b: b.n_failures.astype(np.float64),
-    ),
-    "unreliability": (
-        lambda t: 1.0 if t.failed_by_horizon else 0.0,
-        lambda b: (b.n_failures > 0).astype(np.float64),
-    ),
-    "cost": (lambda t: t.costs.total, lambda b: b.cost_total),
+    "failures": lambda b: b.n_failures.astype(np.float64),
+    "unreliability": lambda b: (b.n_failures > 0).astype(np.float64),
+    "cost": lambda b: b.cost_total,
 }
 
 
@@ -96,10 +99,9 @@ class MonteCarloResult:
 
     ``trajectories`` carries the full objects only when the study was
     run with ``keep_trajectories=True``.  ``batch`` carries the packed
-    KPI columns (:class:`~repro.simulation.batch.TrajectoryBatch`)
-    whenever the driver took the streaming columnar path — enough for
-    :meth:`reliability_at` and further aggregation at a small fraction
-    of the object list's footprint.
+    KPI columns (:class:`~repro.simulation.batch.TrajectoryBatch`) of
+    every driver run — enough for :meth:`reliability_at` and further
+    aggregation at a small fraction of the object list's footprint.
     """
 
     summary: KpiSummary
@@ -287,27 +289,37 @@ class MonteCarlo:
         """Child seed streams this driver has spawned so far."""
         return self._seed_sequence.n_children_spawned
 
-    def _next_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self._seed_sequence.spawn(1)[0])
+    def _plan(
+        self, n_runs: Optional[int], lockstep: bool, object_chunk: int
+    ) -> Iterator[parallel._Chunk]:
+        """This driver's chunk plan on its next child streams, the one
+        seed path (``n_runs=None``: endless).  A lockstep chunk is one
+        stream (:func:`~repro.simulation.vectorized.lockstep_plan`), an
+        object-engine chunk ``object_chunk`` per-trajectory streams;
+        a chunk's streams are spawned, in order, when it is made."""
+        if lockstep:
+            return lockstep_plan(
+                self._seed_sequence, self.simulator.config.chunk_trajectories, n_runs
+            )
 
-    def _plan(self, n_runs: Optional[int] = None) -> Iterator["PlanChunk"]:
-        """This driver's lockstep chunk plan on its next child streams —
-        the one seed scheme of serial, sequential and pooled lockstep
-        runs (``n_runs=None``: endless)."""
-        from repro.simulation.vectorized import lockstep_plan
+        def objects() -> Iterator[Tuple[np.random.SeedSequence, ...]]:
+            done = 0
+            while n_runs is None or done < n_runs:
+                size = object_chunk
+                if n_runs is not None:
+                    size = min(size, n_runs - done)
+                yield tuple(self._seed_sequence.spawn(size))
+                done += size
 
-        return lockstep_plan(
-            self._seed_sequence, self.simulator.config.chunk_trajectories, n_runs
-        )
+        return objects()
 
     def _lockstep(self) -> bool:
         """Whether the batch drivers run on the lockstep kernel:
         ``kernel="vectorized"`` on a model with no fallback reason."""
-        if self.simulator.config.kernel != "vectorized":
-            return False
-        from repro.simulation.vectorized import vectorized_fallback_reason
-
-        return vectorized_fallback_reason(self.simulator) is None
+        return (
+            self.simulator.config.kernel == "vectorized"
+            and vectorized_fallback_reason(self.simulator) is None
+        )
 
     def _resolve_instrumentation(self) -> Optional[Instrumentation]:
         """Explicit instrumentation, else the simulator's, else ambient."""
@@ -330,52 +342,116 @@ class MonteCarlo:
         """Trajectories between progress events for an n-run study."""
         return max(1, min(1000, n_runs // 50))
 
-    def _summarize(
-        self, trajectories: Trajectories, confidence: float
-    ) -> KpiSummary:
-        """KPI aggregation, timed when instrumentation is active."""
-        instr = self.instrumentation
-        if instr is None:
-            instr = _obs.current()
-        if instr is None:
-            return summarize(trajectories, confidence)
-        with instr.timer(_obs.TIMER_SUMMARIZE).time():
-            return summarize(trajectories, confidence)
+    def _drive(
+        self,
+        n_runs: Optional[int],
+        keep_trajectories: bool = False,
+        reporter: Optional[ProgressReporter] = None,
+        phase: str = "mc.run",
+        lockstep: bool = False,
+        processes: int = 1,
+        pool: Optional[parallel.SharedSimulationPool] = None,
+        stop: Optional["_StopRule"] = None,
+    ) -> Tuple[TrajectoryBatch, Optional[List[Trajectory]]]:
+        """The one Monte Carlo loop: plan → chunk source → sink.
 
-    def _batch_result(
-        self, batch: TrajectoryBatch, confidence: float, keep_trajectories: bool
-    ) -> MonteCarloResult:
-        """Result carrying ``batch``, plus objects rebuilt from it if kept."""
-        summary = self._summarize(batch, confidence)
-        if keep_trajectories:
-            return MonteCarloResult(
-                summary=summary,
-                trajectories=tuple(batch.to_trajectories()),
-                batch=batch,
+        Object-engine chunks are ``stop.batch_size`` trajectories on an
+        endless plan, four per worker when pooled, else one progress
+        step.  In-process chunks run through ``parallel._simulate_chunk``
+        into one accumulator, and ``stop`` sees each chunk's rows;
+        pooled plans go through ``parallel.sample_parallel_batch``.
+        Returns the batch, plus the trajectory objects when events are
+        recorded and kept (a batch does not carry them).
+        """
+        if n_runs is not None and n_runs < 1:
+            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+        if n_runs is None:
+            size = stop.batch_size
+        elif processes > 1:
+            size = n_runs // (4 * processes)
+        else:
+            size = self._progress_step(n_runs)
+        plan = self._plan(n_runs, lockstep, max(1, size))
+        hook = None if reporter is None else _Progress(reporter, phase, n_runs)
+        keep_objects = keep_trajectories and self.simulator.config.record_events
+        if processes > 1:
+            context = _spans.current_context()
+            telemetry = parallel.WorkerTelemetry(
+                instrumentation=self._resolve_instrumentation(),
+                collector=_spans.current_collector(),
+                span_parent=None if context is None else context.to_dict(),
+                progress=None if hook is None else hook.advance,
             )
-        return MonteCarloResult(summary=summary, batch=batch)
+            chunks = list(plan)
+            if keep_objects:
+                objects = parallel.sample_parallel(
+                    self.simulator, chunks, processes, pool=pool, telemetry=telemetry
+                )
+                return TrajectoryBatch.from_trajectories(objects), objects
+            batch = parallel.sample_parallel_batch(
+                self.simulator, chunks, processes, pool=pool, telemetry=telemetry
+            )
+            return batch, None
+        model = parallel._CachedModel(self.simulator)
+        instr = self._resolve_instrumentation()
+        accumulator = TrajectoryAccumulator(horizon=self.horizon)
+        objects = [] if keep_objects else None
+        for chunk in plan:
+            within = None if hook is None else hook.within(len(chunk))
+            rows = parallel._simulate_chunk(model, chunk, instr, within)
+            if not isinstance(rows, TrajectoryBatch):
+                if objects is not None:
+                    objects.extend(rows)
+                rows = TrajectoryBatch.from_trajectories(rows)
+            accumulator.add_batch(rows)
+            if hook is not None:
+                hook.advance(len(chunk))
+            if stop is not None and stop.observe(rows):
+                break
+        return accumulator.finalize(), objects
+
+    def _result(
+        self,
+        batch: TrajectoryBatch,
+        objects: Optional[List[Trajectory]],
+        confidence: float,
+        keep_trajectories: bool,
+    ) -> MonteCarloResult:
+        """Result carrying ``batch`` and, if kept, the trajectories (the
+        recorded objects, else objects rebuilt from the batch)."""
+        summary = self._summarize(batch, confidence)
+        if not keep_trajectories:
+            return MonteCarloResult(summary=summary, batch=batch)
+        if objects is None:
+            objects = batch.to_trajectories()
+        return MonteCarloResult(
+            summary=summary, trajectories=tuple(objects), batch=batch
+        )
+
+    def _summarize(self, batch: TrajectoryBatch, confidence: float) -> KpiSummary:
+        """KPI aggregation, timed when instrumentation is active."""
+        instr = self._resolve_instrumentation()
+        if instr is None:
+            return summarize(batch, confidence)
+        with instr.timer(_obs.TIMER_SUMMARIZE).time():
+            return summarize(batch, confidence)
 
     def sample(self, n_runs: int) -> List[Trajectory]:
-        """Simulate ``n_runs`` fresh trajectories and return them raw."""
-        if n_runs < 1:
-            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-        return [self.simulator.simulate(self._next_rng()) for _ in range(n_runs)]
+        """Simulate ``n_runs`` fresh object-engine trajectories, raw
+        (rebuilt from the batch columns, ``==``, unless events are
+        recorded)."""
+        batch, objects = self._drive(n_runs, keep_trajectories=True)
+        return objects if objects is not None else batch.to_trajectories()
 
     def sample_batch(self, n_runs: int) -> TrajectoryBatch:
         """Simulate ``n_runs`` fresh trajectories as packed batch columns.
 
         Consumes exactly the same child seed streams as :meth:`sample`,
-        and each trajectory object is folded into the accumulator as
-        soon as it is produced — resident memory stays O(columns)
-        instead of O(n_runs) objects.  The resulting batch yields
-        KPIs bit-identical to ``sample``'s object list.
+        streamed chunk by chunk into one accumulator — resident memory
+        stays O(columns) instead of O(n_runs) objects.  The resulting
+        batch yields KPIs bit-identical to ``sample``'s object list.
         """
-        if n_runs < 1:
-            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-        accumulator = TrajectoryAccumulator(horizon=self.horizon)
-        for _ in range(n_runs):
-            accumulator.add(self.simulator.simulate(self._next_rng()))
-        return accumulator.finalize()
+        return self._drive(n_runs)[0]
 
     def run_parallel(
         self,
@@ -383,18 +459,16 @@ class MonteCarlo:
         processes: Optional[int] = None,
         confidence: float = 0.95,
         keep_trajectories: bool = False,
-        pool: Optional["SharedSimulationPool"] = None,
+        pool: Optional[parallel.SharedSimulationPool] = None,
         progress: Optional[ProgressReporter] = None,
     ) -> MonteCarloResult:
         """Like :meth:`run`, fanned out over worker processes.
 
-        The child RNG streams are identical to a serial :meth:`run`
-        from the same driver state, so the results are bit-identical
-        on both kernels, at any process count, on a shared pool or not —
-        parallelism is purely a wall-clock optimization.  Object-engine
-        workers take one stream per trajectory; on a lockstep-eligible
-        model each worker task is one whole chunk of the serial chunk
-        plan (:meth:`_plan`), folded back in plan order.
+        The chunk plan (:meth:`_plan`) is the serial :meth:`run`'s from
+        the same driver state, so the results are bit-identical on both
+        kernels, at any process count, on a shared pool or not —
+        parallelism is purely a wall-clock optimization.  Each worker
+        task is one whole plan chunk, folded back in plan order.
 
         ``processes=None`` (the default) picks a sensible fan-out from
         the schedulable CPU count, capped so a small study does not pay
@@ -411,67 +485,29 @@ class MonteCarlo:
         (:func:`~repro.simulation.parallel.sample_parallel`).
 
         With telemetry attached — instrumentation (explicit or
-        ambient), an ambient span collector, or a progress reporter —
-        each worker chunk runs under a ``worker.chunk`` span parented
-        to this call's ``mc.run_parallel`` span and ships its metrics
-        registry back for merging, so parallel profiles report worker-
-        side counters and per-worker ``sim.worker.<n>.*`` utilization
-        gauges.  All of it is passive: results stay bit-identical.
+        ambient) or an ambient span collector — each worker chunk runs
+        under a ``worker.chunk`` span parented to this call's
+        ``mc.run_parallel`` span and ships its metrics registry back
+        for merging, so parallel profiles report worker-side counters
+        and per-worker ``sim.worker.<n>.*`` utilization gauges.  A
+        progress reporter gets an event per folded chunk.  All of it is
+        passive: results stay bit-identical.
         """
-        from repro.simulation.parallel import (
-            WorkerTelemetry,
-            default_process_count,
-            sample_parallel,
-            sample_parallel_batch,
-        )
-
-        if n_runs < 1:
-            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
         if pool is not None:
             processes = pool.processes
         elif processes is None:
-            processes = default_process_count(n_runs)
+            processes = parallel.default_process_count(n_runs)
         elif processes < 1:
             raise ValidationError(f"processes must be >= 1, got {processes}")
         logger.info(kv("run_parallel fan-out", processes=processes, runs=n_runs))
         with _spans.span(
             "mc.run_parallel", {"n_runs": n_runs, "processes": processes}
-        ) as run_span:
-            reporter = self._resolve_progress(progress)
-            instrumentation = self._resolve_instrumentation()
-            collector = _spans.current_collector()
-            telemetry = None
-            if (
-                instrumentation is not None
-                or collector is not None
-                or reporter is not None
-            ):
-                context = run_span.context
-                telemetry = WorkerTelemetry(
-                    instrumentation=instrumentation,
-                    collector=collector,
-                    span_parent=(
-                        context.to_dict() if context is not None else None
-                    ),
-                    progress=reporter,
-                )
-            if self._lockstep():
-                seeds = list(self._plan(n_runs))
-            else:
-                seeds = self._seed_sequence.spawn(n_runs)
-            if keep_trajectories and self.simulator.config.record_events:
-                trajectories = sample_parallel(
-                    self.simulator, seeds, processes, pool=pool,
-                    telemetry=telemetry,
-                )
-                return MonteCarloResult(
-                    summary=self._summarize(trajectories, confidence),
-                    trajectories=tuple(trajectories),
-                )
-            batch = sample_parallel_batch(
-                self.simulator, seeds, processes, pool=pool, telemetry=telemetry
+        ):
+            batch, objects = self._drive(
+                n_runs, keep_trajectories, self._resolve_progress(progress),
+                "mc.run_parallel", self._lockstep(), processes, pool,
             )
-            return self._batch_result(batch, confidence, keep_trajectories)
+            return self._result(batch, objects, confidence, keep_trajectories)
 
     def run(
         self,
@@ -482,155 +518,28 @@ class MonteCarlo:
     ) -> MonteCarloResult:
         """Run a fixed number of replications and summarize KPIs.
 
-        With ``keep_trajectories=False`` (the default) the trajectories
-        are streamed into a :class:`~repro.simulation.batch.
-        TrajectoryBatch` as they are simulated — peak memory is one
-        trajectory plus the packed columns, independent of ``n_runs`` —
-        and the batch rides along on the result for curve estimation.
-        KPIs are bit-identical between the two modes.
+        The trajectories stream into a :class:`~repro.simulation.batch.
+        TrajectoryBatch` chunk by chunk — peak memory is one chunk plus
+        the packed columns, independent of ``n_runs`` — and the batch
+        rides along on the result for curve estimation.  With
+        ``keep_trajectories=True`` the objects come too (rebuilt from
+        the batch unless events are recorded); KPIs are bit-identical
+        either way.
 
         ``progress`` (or an ambient reporter installed with
-        :func:`repro.observability.use_progress`) receives
-        rate/ETA events at batch boundaries; reporting is passive, so
-        a watched run is bit-identical to a silent one.
+        :func:`repro.observability.use_progress`) receives rate/ETA
+        events at chunk boundaries, and inside lockstep chunks at
+        calendar-fraction granularity; reporting is passive, so a
+        watched run is bit-identical to a silent one.
         """
-        reporter = self._resolve_progress(progress)
         with _spans.span(
             "mc.run", {"n_runs": n_runs, "keep_trajectories": keep_trajectories}
         ):
-            if self._lockstep():
-                return self._run_vectorized(
-                    n_runs, confidence, keep_trajectories, reporter
-                )
-            if reporter is None:
-                if keep_trajectories:
-                    trajectories = self.sample(n_runs)
-                    summary = self._summarize(trajectories, confidence)
-                    return MonteCarloResult(
-                        summary=summary, trajectories=tuple(trajectories)
-                    )
-                batch = self.sample_batch(n_runs)
-                return MonteCarloResult(
-                    summary=self._summarize(batch, confidence), batch=batch
-                )
-            if n_runs < 1:
-                raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-            # Watched run: identical child-stream order, sliced into
-            # progress steps.  The sink (object list vs accumulator)
-            # mirrors the silent paths above exactly.
-            collected: List[Trajectory] = []
-            accumulator = (
-                None
-                if keep_trajectories
-                else TrajectoryAccumulator(horizon=self.horizon)
+            batch, objects = self._drive(
+                n_runs, keep_trajectories, self._resolve_progress(progress),
+                "mc.run", self._lockstep(),
             )
-            sink = collected.append if accumulator is None else accumulator.add
-            step = self._progress_step(n_runs)
-            start = _time.perf_counter()
-            done = 0
-            while done < n_runs:
-                take = min(step, n_runs - done)
-                for _ in range(take):
-                    sink(self.simulator.simulate(self._next_rng()))
-                done += take
-                elapsed = _time.perf_counter() - start
-                rate = done / elapsed if elapsed > 0 else None
-                reporter.update(
-                    ProgressEvent(
-                        phase="mc.run",
-                        completed=done,
-                        total=n_runs,
-                        elapsed_seconds=elapsed,
-                        rate_per_sec=rate,
-                        eta_seconds=((n_runs - done) / rate) if rate else None,
-                        done=done >= n_runs,
-                    )
-                )
-            if accumulator is None:
-                summary = self._summarize(collected, confidence)
-                return MonteCarloResult(
-                    summary=summary, trajectories=tuple(collected)
-                )
-            batch = accumulator.finalize()
-            return MonteCarloResult(
-                summary=self._summarize(batch, confidence), batch=batch
-            )
-
-    def _run_vectorized(
-        self,
-        n_runs: int,
-        confidence: float,
-        keep_trajectories: bool,
-        reporter: Optional[ProgressReporter],
-    ) -> MonteCarloResult:
-        """:meth:`run` body for the lockstep kernel.
-
-        One child seed stream per lockstep *chunk* of the plan
-        (:meth:`_plan`) — spawning a stream per trajectory costs more
-        than the kernel spends simulating one.  (A ``kernel=
-        "vectorized"`` driver on a fallback model runs :meth:`run`'s
-        object-engine loop, bit-identical to ``kernel="object"``.)
-        Chunks stream straight into the accumulator; progress events
-        fire at chunk boundaries and, for watched runs, from inside the
-        chunk loop at calendar-fraction granularity, throttled to the
-        same cadence as the object path (:meth:`_progress_step`).  The
-        in-chunk callback never touches the RNG, so watched and silent
-        runs are bit-identical.
-        """
-        from repro.simulation.vectorized import (
-            VectorizedKernel,
-            simulate_plan_chunk,
-        )
-
-        if n_runs < 1:
-            raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-        accumulator = TrajectoryAccumulator(horizon=self.horizon)
-        start = _time.perf_counter()
-        done = 0
-
-        def report(done: int) -> None:
-            if reporter is None:
-                return
-            elapsed = _time.perf_counter() - start
-            rate = done / elapsed if elapsed > 0 else None
-            reporter.update(
-                ProgressEvent(
-                    phase="mc.run",
-                    completed=done,
-                    total=n_runs,
-                    elapsed_seconds=elapsed,
-                    rate_per_sec=rate,
-                    eta_seconds=((n_runs - done) / rate) if rate else None,
-                    done=done >= n_runs,
-                )
-            )
-
-        kernel = VectorizedKernel(self.simulator)
-        instr = self._resolve_instrumentation()
-        step = self._progress_step(n_runs)
-        for chunk in self._plan(n_runs):
-            callback = None
-            if reporter is not None:
-                # Map the kernel's calendar fraction to equivalent
-                # completed trajectories; emit at the object path's
-                # cadence, leaving the boundary event to report().
-                state = {"next": done + step}
-                base, span = done, chunk.size
-
-                def callback(frac, state=state, base=base, span=span):
-                    equivalent = base + int(span * frac)
-                    if equivalent >= state["next"] and equivalent < base + span:
-                        state["next"] = equivalent + step
-                        report(equivalent)
-
-            accumulator.add_batch(
-                simulate_plan_chunk(kernel, chunk, instr, progress=callback)
-            )
-            done += chunk.size
-            report(done)
-        return self._batch_result(
-            accumulator.finalize(), confidence, keep_trajectories
-        )
+            return self._result(batch, objects, confidence, keep_trajectories)
 
     def run_rare_event(
         self,
@@ -699,16 +608,20 @@ class MonteCarlo:
         exhausted).  All KPIs are then summarized over every observed
         trajectory.
 
-        With ``kernel="vectorized"`` on a vectorizable model the rows
-        come from whole lockstep chunks of ``chunk_trajectories``, drawn
-        on the same child streams as :meth:`run`; batch boundaries run
-        over the whole row stream, so a batch may span two chunks.  The
-        unobserved tail of the last chunk is dropped — the rows of a
-        chunk are independent trajectories and the stopping decision
-        only ever saw the rows before it — so the result is exactly the
+        The rows come from the same chunk plan as :meth:`run`, streamed
+        into columns so an open-ended run keeps a bounded footprint.
+        On the object engine each chunk is one batch of fresh
+        trajectories.  With ``kernel="vectorized"`` on a vectorizable
+        model the chunks are whole lockstep chunks of
+        ``chunk_trajectories``; batch boundaries run over the whole row
+        stream, so a batch may span two chunks, and the unobserved tail
+        of the last chunk is dropped — the rows of a chunk are
+        independent trajectories and the stopping decision only ever
+        saw the rows before it.  Either way the result is exactly the
         first ``n_runs`` rows of a :meth:`run` from a fresh driver with
-        the same seed.  Otherwise every batch is ``batch_size`` fresh
-        object-engine trajectories (:meth:`sample`).
+        the same seed: ``run(n_runs)`` itself on the object engine, a
+        run of whole chunks on the lockstep kernel (a lockstep chunk's
+        rows depend on its size).
 
         ``target`` selects the controlled statistic: ``"failures"``
         (number of system failures per trajectory, the default),
@@ -731,13 +644,12 @@ class MonteCarlo:
         ``kernel`` that ran, ``n_samples`` (rows observed) and
         ``n_simulated`` (rows simulated, including a dropped tail).
         """
-        columns = _TARGETS.get(target)
-        if columns is None:
+        column = _TARGETS.get(target)
+        if column is None:
             raise ValidationError(
                 f"unknown target {target!r}; expected one of "
                 f"{sorted(_TARGETS)}"
             )
-        extractor, column = columns
         if rule is None:
             rule = RelativePrecisionRule()
         if batch_size < 1:
@@ -747,27 +659,7 @@ class MonteCarlo:
                 f"max_zero_samples must be >= 1, got {max_zero_samples}"
             )
         reporter = self._resolve_progress(progress)
-        statistics = RunningStatistics()
         lockstep = self._lockstep()
-        collected: List[Trajectory] = []
-        # Without kept trajectory objects the batches are folded straight
-        # into columnar form, so an open-ended sequential run keeps a
-        # bounded footprint no matter how many samples the rule needs.
-        # The lockstep kernel's native output is columns, so it always
-        # folds (kept trajectories are rebuilt from the batch).
-        accumulator = (
-            None
-            if keep_trajectories and not lockstep
-            else TrajectoryAccumulator(horizon=self.horizon)
-        )
-        if lockstep:
-            batches = self._lockstep_batches(column, batch_size, accumulator)
-        else:
-            batches = self._object_batches(
-                extractor,
-                batch_size,
-                collected.extend if accumulator is None else accumulator.extend,
-            )
         with _spans.span(
             "mc.run_to_precision",
             {
@@ -777,109 +669,133 @@ class MonteCarlo:
                 "kernel": "vectorized" if lockstep else "object",
             },
         ) as run_span:
-            start = _time.perf_counter()
-            while not rule.should_stop(statistics):
-                if (
-                    statistics.count >= max_zero_samples
-                    and statistics.mean == 0.0
-                ):
-                    message = (
-                        f"run_to_precision: target {target!r} is zero on all "
-                        f"{statistics.count} trajectories; the relative "
-                        "precision rule cannot converge on an all-zero "
-                        "stream — stopping early (consider run_rare_event)"
+            stop = _StopRule(rule, column, batch_size, max_zero_samples, reporter)
+            batch, objects = self._drive(
+                None, keep_trajectories, lockstep=lockstep, stop=stop
+            )
+            n_samples = stop.statistics.count
+            if stop.zero_capped:
+                warnings.warn(
+                    f"run_to_precision: target {target!r} is zero on all "
+                    f"{n_samples} trajectories; the relative precision rule "
+                    "cannot converge on an all-zero stream — stopping early "
+                    "(consider run_rare_event)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                logger.warning(
+                    kv(
+                        "run_to_precision all-zero cap hit",
+                        target=target,
+                        samples=n_samples,
                     )
-                    warnings.warn(message, RuntimeWarning, stacklevel=2)
-                    logger.warning(
-                        kv(
-                            "run_to_precision all-zero cap hit",
-                            target=target,
-                            samples=statistics.count,
-                        )
-                    )
-                    break
-                statistics.extend(next(batches))
-                if reporter is not None:
-                    reporter.update(
-                        self._convergence_event(
-                            statistics, rule, start, done=False
-                        )
-                    )
-            n_samples = statistics.count
-            n_simulated = n_samples if accumulator is None else len(accumulator)
+                )
             run_span.set_attribute("n_samples", n_samples)
-            run_span.set_attribute("n_simulated", n_simulated)
+            run_span.set_attribute("n_simulated", len(batch))
             if reporter is not None:
-                reporter.update(
-                    self._convergence_event(statistics, rule, start, done=True)
-                )
-            if accumulator is None:
-                summary = self._summarize(collected, confidence)
-                return MonteCarloResult(
-                    summary=summary, trajectories=tuple(collected)
-                )
-            built = accumulator.finalize()
-            if n_simulated > n_samples:
-                built = built.head(n_samples)
-            return self._batch_result(built, confidence, keep_trajectories)
+                reporter.update(stop.event(done=True))
+            if len(batch) > n_samples:
+                batch = batch.head(n_samples)
+            return self._result(batch, objects, confidence, keep_trajectories)
 
-    def _object_batches(
-        self,
-        extractor: Callable[[Trajectory], float],
-        batch_size: int,
-        sink: Callable[[List[Trajectory]], None],
-    ) -> Iterator[List[float]]:
-        """Endless target-value batches of fresh object-engine trajectories."""
-        while True:
-            trajectories = self.sample(batch_size)
-            sink(trajectories)
-            yield [extractor(trajectory) for trajectory in trajectories]
 
-    def _lockstep_batches(
-        self,
-        column: Callable[[TrajectoryBatch], np.ndarray],
-        batch_size: int,
-        sink: TrajectoryAccumulator,
-    ) -> Iterator[List[float]]:
-        """Endless target-value batches cut from whole lockstep chunks.
+class _Progress:
+    """The driver's progress hook: rate/ETA events for one run.
 
-        Each chunk goes to ``sink`` as soon as it is simulated; a chunk
-        is only simulated when the next batch reaches past the rows
-        already drawn, so at most one chunk's tail is left unobserved.
-        """
-        from repro.simulation.vectorized import (
-            VectorizedKernel,
-            simulate_plan_chunk,
+    :meth:`advance` fires at chunk boundaries; :meth:`within` makes an
+    in-process lockstep chunk's callback, which maps the calendar
+    fraction to equivalent completed trajectories at the
+    :meth:`MonteCarlo._progress_step` cadence.  No RNG is touched, so
+    watched runs equal silent ones.
+    """
+
+    def __init__(self, reporter: ProgressReporter, phase: str, total: int):
+        self.reporter, self.phase, self.total = reporter, phase, total
+        self.step = MonteCarlo._progress_step(total)
+        self.completed = 0
+        self.start = _time.perf_counter()
+
+    def report(self, completed: int) -> None:
+        elapsed = _time.perf_counter() - self.start
+        rate = completed / elapsed if elapsed > 0 else None
+        self.reporter.update(
+            ProgressEvent(
+                phase=self.phase,
+                completed=completed,
+                total=self.total,
+                elapsed_seconds=elapsed,
+                rate_per_sec=rate,
+                eta_seconds=((self.total - completed) / rate) if rate else None,
+                done=completed >= self.total,
+            )
         )
 
-        kernel = VectorizedKernel(self.simulator)
-        instr = self._resolve_instrumentation()
-        plan = self._plan()
-        pending = np.empty(0)
-        while True:
-            while len(pending) < batch_size:
-                rows = simulate_plan_chunk(kernel, next(plan), instr)
-                sink.add_batch(rows)
-                pending = np.concatenate((pending, column(rows)))
-            yield pending[:batch_size].tolist()
-            pending = pending[batch_size:]
+    def advance(self, rows: int) -> None:
+        self.completed += rows
+        self.report(self.completed)
 
-    @staticmethod
-    def _convergence_event(
-        statistics: RunningStatistics,
-        rule: RelativePrecisionRule,
-        start: float,
-        done: bool,
-    ) -> ProgressEvent:
-        """Progress event describing how converged a sequential run is."""
+    def within(self, rows: int) -> Callable[[float], None]:
+        base = self.completed
+        due = base + self.step
+
+        def callback(fraction: float) -> None:
+            nonlocal due
+            equivalent = base + int(rows * fraction)
+            if due <= equivalent < base + rows:
+                due = equivalent + self.step
+                self.report(equivalent)
+
+        return callback
+
+
+@dataclass
+class _StopRule:
+    """Sequential stopping at every ``batch_size`` row boundary.
+
+    :meth:`observe` cuts each chunk's ``column`` values into batches
+    and, after each, reports convergence and applies ``rule``, then the
+    all-zero cap.  Rows past the stopping batch are the unobserved tail
+    the caller drops; the next chunk is needed only when the next batch
+    reaches past the rows already seen.
+    """
+
+    rule: RelativePrecisionRule
+    column: Callable[[TrajectoryBatch], np.ndarray]
+    batch_size: int
+    max_zero_samples: int
+    reporter: Optional[ProgressReporter]
+    statistics: RunningStatistics = field(default_factory=RunningStatistics)
+    zero_capped: bool = False
+    pending: np.ndarray = field(default_factory=lambda: np.empty(0))
+    start: float = field(default_factory=_time.perf_counter)
+
+    def observe(self, rows: TrajectoryBatch) -> bool:
+        """Fold one chunk's rows; True once sampling should stop."""
+        statistics, size = self.statistics, self.batch_size
+        self.pending = np.concatenate((self.pending, self.column(rows)))
+        while len(self.pending) >= size:
+            statistics.extend(self.pending[:size].tolist())
+            self.pending = self.pending[size:]
+            if self.reporter is not None:
+                self.reporter.update(self.event(done=False))
+            if self.rule.should_stop(statistics):
+                return True
+            if statistics.count >= self.max_zero_samples and statistics.mean == 0.0:
+                self.zero_capped = True
+                return True
+        return False
+
+    def event(self, done: bool) -> ProgressEvent:
+        """Progress event describing how converged the run is."""
+        statistics = self.statistics
         half_width = None
         relative_half_width = None
         if statistics.count >= 2:
-            interval = statistics.confidence_interval(rule.confidence)
+            interval = statistics.confidence_interval(self.rule.confidence)
             half_width = interval.half_width
             if statistics.mean != 0.0:
                 relative_half_width = interval.relative_half_width
-        elapsed = _time.perf_counter() - start
+        elapsed = _time.perf_counter() - self.start
         rate = statistics.count / elapsed if elapsed > 0 else None
         return ProgressEvent(
             phase="mc.run_to_precision",
@@ -889,6 +805,6 @@ class MonteCarlo:
             estimate=statistics.mean if statistics.count else None,
             ci_half_width=half_width,
             relative_half_width=relative_half_width,
-            target=rule.relative_error,
+            target=self.rule.relative_error,
             done=done,
         )

@@ -1,27 +1,25 @@
-"""Multiprocessing support for Monte Carlo replication.
+"""Chunk execution and multiprocessing for Monte Carlo replication.
 
-Trajectories are embarrassingly parallel; this module fans chunks of
-them out to worker processes.  Reproducibility is preserved exactly: the
-child RNG streams are derived from the root seed in the same order a
-serial run would use them, so ``run_parallel`` returns **bit-identical
-KPIs** to :meth:`repro.simulation.montecarlo.MonteCarlo.run` with the
-same seed, on both kernels and at any process count (the test suite
-asserts this).
+The Monte Carlo driver (:mod:`repro.simulation.montecarlo`) runs one
+chunk plan for every batch entry point, and this module executes its
+chunks.  A chunk is a :class:`~repro.simulation.vectorized.PlanChunk`
+(one RNG stream, run on the lockstep kernel) or a run of
+per-trajectory seeds (run on the object engine); :func:`_simulate_chunk`
+runs either kind, in-process or in a worker.  A chunk's trajectories
+are a function of its seeds alone, so pooled runs are **bit-identical**
+to serial ones at any process count (the test suite asserts this).
 
 Every pool is a :class:`SharedSimulationPool` (a call without one gets
 a pool scoped to the call), and every task is one envelope
 ``(digest, blob, chunk, extras)`` for the one pool function,
 :func:`_shared_worker`.  ``blob`` is the pickled simulator; workers
 cache it, and the lockstep kernel compiled from it, by ``digest``.
-``chunk`` is either a :class:`~repro.simulation.vectorized.PlanChunk`
-of the serial chunk plan (:func:`~repro.simulation.vectorized.
-lockstep_plan`), run on the lockstep kernel, or a slice of
-per-trajectory seeds, run on the object engine.  The worker ships back
-packed :class:`~repro.simulation.batch.TrajectoryBatch` columns, unless
-the simulator records events: a batch does not carry them, so the
-:class:`~repro.simulation.trace.Trajectory` objects cross the pipe
-instead.  :func:`sample_parallel_batch` folds either payload into one
-batch; :func:`sample_parallel` folds them into an object list.
+The worker ships back packed :class:`~repro.simulation.batch.
+TrajectoryBatch` columns, unless the simulator records events: a batch
+does not carry them, so the :class:`~repro.simulation.trace.Trajectory`
+objects cross the pipe instead.  :func:`sample_parallel_batch` folds
+either payload into one batch, :func:`sample_parallel` into an object
+list; both also take a plain seed list, sliced into object chunks.
 
 A worker process dying (OOM-kill, segfault, ``os._exit``) surfaces as
 a :class:`~repro.errors.SimulationError` instead of a hang or an
@@ -29,21 +27,22 @@ opaque pool exception.
 
 Telemetry round-trip
 --------------------
-When the driver runs with telemetry attached (metrics, spans, or a
-progress reporter — see :class:`WorkerTelemetry`), ``extras`` is a tiny
-:class:`ChunkExtras` and the worker wraps its chunk in a fresh
-per-chunk :class:`~repro.observability.instrumentation.Instrumentation`
-and a ``worker.chunk`` span parented to the dispatching span's shipped
-:class:`~repro.observability.spans.SpanContext`.  The chunk result
-then ships ``(payload, worker registry, span record, pid, wall
-seconds)`` back; the driver folds the registry into the parent one
-(:meth:`MetricsRegistry.merge`), feeds the span record to the ambient
-collector, emits a progress event, and finally publishes per-worker
+With metrics or spans attached (see :class:`WorkerTelemetry`),
+``extras`` is a tiny :class:`ChunkExtras` and the worker wraps its
+chunk in a fresh per-chunk :class:`~repro.observability.
+instrumentation.Instrumentation` and a ``worker.chunk`` span parented
+to the dispatching span's shipped :class:`~repro.observability.spans.
+SpanContext`.  The chunk result then ships ``(payload, worker registry,
+span record, pid, wall seconds)`` back; the driver folds the registry
+into the parent one (:meth:`MetricsRegistry.merge`), feeds the span
+record to the ambient collector, and finally publishes per-worker
 utilization gauges (``sim.worker.<n>.chunks`` / ``.trajectories`` /
-``.busy_seconds`` plus ``sim.workers``).  With no telemetry attached
-``extras`` is None and the payload comes back bare — zero extra bytes
-on the pipe, zero worker-side overhead.
+``.busy_seconds`` plus ``sim.workers``).  Without them ``extras`` is
+None and the payload comes back bare — zero extra bytes on the pipe,
+zero worker-side overhead.  Progress needs no round-trip: the driver's
+hook (``WorkerTelemetry.progress``) is called as each chunk folds.
 """
+
 
 from __future__ import annotations
 
@@ -55,7 +54,17 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -66,7 +75,6 @@ from repro.observability.instrumentation import (
     Instrumentation,
 )
 from repro.observability.logging_setup import get_logger, kv
-from repro.observability.progress import ProgressEvent
 from repro.observability.spans import Span, SpanCollector
 from repro.simulation.batch import TrajectoryAccumulator, TrajectoryBatch
 from repro.simulation.executor import FMTSimulator
@@ -157,7 +165,8 @@ def simulate_batch_columns(
     return accumulator.finalize()
 
 
-#: One task's chunk: a lockstep plan chunk or a slice of seeds.
+#: One chunk of a plan: a lockstep plan chunk, or a run of
+#: per-trajectory seeds for the object engine.
 _Chunk = Union[PlanChunk, Sequence[np.random.SeedSequence]]
 
 
@@ -178,16 +187,20 @@ class _CachedModel:
 
 
 def _simulate_chunk(
-    model: _CachedModel, chunk: _Chunk, instr: Optional[Instrumentation] = None
+    model: _CachedModel,
+    chunk: _Chunk,
+    instr: Optional[Instrumentation] = None,
+    progress: Optional[Callable[[float], None]] = None,
 ) -> Union[TrajectoryBatch, List[Trajectory]]:
     """One chunk's payload: a batch, or objects when events are recorded.
 
     A :class:`PlanChunk` runs on the lockstep kernel (timed into
-    ``instr``); a seed slice runs on the object engine, which reports
-    into the simulator's own instrumentation.
+    ``instr``, calendar fraction reported to ``progress``); a run of
+    seeds runs on the object engine, which reports into the
+    simulator's own instrumentation.
     """
     if isinstance(chunk, PlanChunk):
-        return simulate_plan_chunk(model.kernel, chunk, instr)
+        return simulate_plan_chunk(model.kernel, chunk, instr, progress)
     if model.simulator.config.record_events:
         return simulate_batch(model.simulator, chunk)
     return simulate_batch_columns(model.simulator, chunk)
@@ -227,25 +240,17 @@ class ChunkResult:
 class WorkerTelemetry:
     """Driver-side telemetry configuration for one parallel dispatch.
 
-    Built by :meth:`MonteCarlo.run_parallel` from the explicit/ambient
-    instrumentation, span collector, and progress reporter; ``None``
-    everywhere means tasks carry no :class:`ChunkExtras`.
+    Built by the Monte Carlo driver from the explicit/ambient
+    instrumentation and span collector; with neither, tasks carry no
+    :class:`ChunkExtras`.  ``progress`` is the driver's progress hook,
+    called with each chunk's row count as the chunk folds, in plan
+    order.
     """
 
     instrumentation: Optional[Instrumentation] = None
     collector: Optional[SpanCollector] = None
     span_parent: Optional[Dict[str, str]] = None
-    progress: Optional[Any] = None  # ProgressReporter
-    phase: str = "mc.run_parallel"
-
-    @property
-    def active(self) -> bool:
-        """Whether any telemetry sink is attached."""
-        return (
-            self.instrumentation is not None
-            or self.collector is not None
-            or self.progress is not None
-        )
+    progress: Optional[Callable[[int], None]] = None
 
 
 def _simulate_chunk_with_telemetry(
@@ -378,41 +383,22 @@ class SharedSimulationPool:
         return f"SharedSimulationPool(processes={self.processes}, {state})"
 
 
-def _chunk_seeds(
-    seeds: Sequence[np.random.SeedSequence],
-    processes: int,
-    chunk_size: Optional[int],
-) -> List[Sequence[np.random.SeedSequence]]:
-    if chunk_size is None:
-        chunk_size = max(1, len(seeds) // (processes * 4))
-    elif chunk_size < 1:
-        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [
-        seeds[start:start + chunk_size]
-        for start in range(0, len(seeds), chunk_size)
-    ]
-
-
 class _TelemetryFold:
     """Driver-side accumulator folding returning chunk telemetry.
 
     Merges worker registries into the parent instrumentation, routes
-    span records to the collector, emits progress events, and — once
-    the dispatch completes — publishes per-worker utilization gauges.
+    span records to the collector, and — once the dispatch completes —
+    publishes per-worker utilization gauges.
     """
 
-    def __init__(self, telemetry: WorkerTelemetry, total: int):
+    def __init__(self, telemetry: WorkerTelemetry):
         self.telemetry = telemetry
-        self.total = total
-        self.completed = 0
-        self.start = time.perf_counter()
         # pid -> [chunks, trajectories, busy seconds], ordinal by first
-        # appearance in (deterministic) seed-order completion.
+        # appearance in (deterministic) plan-order completion.
         self.workers: "Dict[int, List[float]]" = {}
 
     def fold(self, result: ChunkResult) -> Any:
         telemetry = self.telemetry
-        self.completed += result.n_trajectories
         stats = self.workers.setdefault(result.pid, [0, 0, 0.0])
         stats[0] += 1
         stats[1] += result.n_trajectories
@@ -421,21 +407,6 @@ class _TelemetryFold:
             telemetry.instrumentation.registry.merge(result.registry)
         if telemetry.collector is not None and result.span is not None:
             telemetry.collector.add_record(result.span)
-        if telemetry.progress is not None:
-            elapsed = time.perf_counter() - self.start
-            rate = self.completed / elapsed if elapsed > 0 else None
-            remaining = self.total - self.completed
-            telemetry.progress.update(
-                ProgressEvent(
-                    phase=telemetry.phase,
-                    completed=self.completed,
-                    total=self.total,
-                    elapsed_seconds=elapsed,
-                    rate_per_sec=rate,
-                    eta_seconds=(remaining / rate) if rate else None,
-                    done=self.completed >= self.total,
-                )
-            )
         return result.payload
 
     def finish(self) -> None:
@@ -461,12 +432,14 @@ def _dispatch_chunks(
     """Yield per-chunk worker payloads in chunk order.
 
     Without ``pool``, a :class:`SharedSimulationPool` scoped to the call
-    (no larger than the chunk count) serves the chunks.  With an active
-    :class:`WorkerTelemetry`, tasks carry :class:`ChunkExtras`, workers
-    return :class:`ChunkResult`, and the telemetry is folded driver-
-    side as each chunk completes.
+    (no larger than the chunk count) serves the chunks.  With metrics
+    or spans in ``telemetry``, tasks carry :class:`ChunkExtras`,
+    workers return :class:`ChunkResult`, and the telemetry is folded
+    driver-side as each chunk completes.
     """
-    if telemetry is not None and not telemetry.active:
+    if telemetry is not None and (
+        telemetry.instrumentation is None and telemetry.collector is None
+    ):
         telemetry = None
     if pool is None:
         with SharedSimulationPool(max(1, min(processes, len(chunks)))) as scoped:
@@ -485,7 +458,7 @@ def _dispatch_chunks(
             telemetry=telemetry is not None,
         )
     )
-    fold = _TelemetryFold(telemetry, total) if telemetry is not None else None
+    fold = _TelemetryFold(telemetry) if telemetry is not None else None
     completed = 0
     try:
         blob = pickle.dumps(simulator, protocol=pickle.HIGHEST_PROTOCOL)
@@ -530,31 +503,46 @@ def _dispatch_chunks(
 
 def _payloads(
     simulator: FMTSimulator,
-    seeds: Union[Sequence[np.random.SeedSequence], Sequence[PlanChunk]],
+    seeds: Union[Sequence[np.random.SeedSequence], Sequence[_Chunk]],
     processes: int,
     chunk_size: Optional[int],
     pool: Optional[SharedSimulationPool],
     telemetry: Optional[WorkerTelemetry],
 ) -> Iterator:
-    """Per-chunk payloads of a seed list or a lockstep plan, in order.
+    """Per-chunk payloads of a chunk plan or a seed list, in order.
 
-    The one dispatcher behind both public folds.  A plan is chunked as
-    given; a seed list into ``chunk_size`` slices.  One process runs the
+    The one dispatcher behind both public folds.  A plan (lockstep
+    chunks, or the driver's runs of object-engine seeds) is taken as
+    given; a plain seed list is sliced into ``chunk_size`` seeds per
+    chunk (default: four chunks per process).  One process runs the
     chunks in-process, more go through :func:`_dispatch_chunks`.
+    ``telemetry.progress``, if set, is called as each chunk folds.
     """
     if pool is not None:
         processes = pool.processes
     if processes < 1:
         raise ValidationError(f"processes must be >= 1, got {processes}")
-    if seeds and isinstance(seeds[0], PlanChunk):
+    if chunk_size is not None and chunk_size < 1:
+        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+    if seeds and not isinstance(seeds[0], np.random.SeedSequence):
         chunks = list(seeds)
     else:
-        chunks = _chunk_seeds(seeds, processes, chunk_size)
+        size = chunk_size or max(1, len(seeds) // (processes * 4))
+        chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
     if processes > 1:
-        return _dispatch_chunks(simulator, chunks, processes, pool, telemetry)
-    model = _CachedModel(simulator)
-    instr = telemetry.instrumentation if telemetry is not None else None
-    return (_simulate_chunk(model, chunk, instr) for chunk in chunks)
+        payloads = _dispatch_chunks(
+            simulator, chunks, processes, pool, telemetry
+        )
+    else:
+        model = _CachedModel(simulator)
+        instr = telemetry.instrumentation if telemetry is not None else None
+        payloads = (_simulate_chunk(model, chunk, instr) for chunk in chunks)
+    advance = telemetry.progress if telemetry is not None else None
+    # Payloads first: the dispatcher publishes its gauges on exhaustion.
+    for payload, chunk in zip(payloads, chunks):
+        yield payload
+        if advance is not None:
+            advance(len(chunk))
 
 
 def sample_parallel(
@@ -572,8 +560,10 @@ def sample_parallel(
     :class:`SharedSimulationPool` is given its workers are reused and
     ``processes`` is taken from the pool; otherwise a pool scoped to
     this call is created.  ``telemetry`` opts into the worker
-    metric/span/progress round-trip (see the module docstring) —
-    trajectories are bit-identical with or without it.
+    metric/span round-trip and a per-chunk progress hook (see the
+    module docstring) — trajectories are bit-identical with or without
+    it.  ``seeds`` may be a chunk plan (see
+    :func:`sample_parallel_batch`).
 
     A simulator that records events ships its trajectory objects;
     otherwise the objects are rebuilt from the workers' batch columns
@@ -612,11 +602,12 @@ def sample_parallel_batch(
     sample_parallel(...))``, while resident memory stays O(columns):
     each worker payload is folded into one accumulator as it arrives.
 
-    ``seeds`` may instead be a lockstep chunk plan, a list of
+    ``seeds`` may instead be a chunk plan: a list of
     :class:`~repro.simulation.vectorized.PlanChunk` for a lockstep-
-    eligible simulator: each worker task is then one whole chunk, and
-    the batches fold in plan order — the serial run of the plan at any
-    process count (``chunk_size`` does not apply).
+    eligible simulator, or of per-trajectory seed runs for the object
+    engine.  Each worker task is then one whole chunk, and the payloads
+    fold in plan order — the serial run of the plan at any process
+    count (``chunk_size`` does not apply).
 
     ``use_shared_memory`` is deprecated and ignored (the shared-memory
     fold was removed; columns always come back through the result

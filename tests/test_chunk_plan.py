@@ -29,9 +29,11 @@ from repro.observability import spans as sp
 from repro.observability.instrumentation import Instrumentation
 from repro.observability.progress import JsonlProgressReporter
 from repro.observability.spans import SpanCollector
+from repro.simulation.metrics import summarize
 from repro.simulation.montecarlo import MonteCarlo
 from repro.simulation.parallel import SharedSimulationPool
 from repro.simulation.vectorized import lockstep_plan
+from repro.stats.sequential import RelativePrecisionRule
 
 
 def _segments() -> set:
@@ -144,19 +146,22 @@ _MODEL = _small_model()
     processes=st.sampled_from([1, 2, 3]),
     pooled=st.booleans(),
     watched=st.booleans(),
-    parallel=st.booleans(),
+    mode=st.sampled_from(["run", "run_parallel", "run_to_precision"]),
+    batch_size=st.integers(min_value=1, max_value=40),
     keep=st.booleans(),
     record_events=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=40, deadline=None)
 def test_answer_independent_of_execution(
-    pools, kernel, n_runs, chunk, processes, pooled, watched, parallel, keep,
-    record_events, seed,
+    pools, kernel, n_runs, chunk, processes, pooled, watched, mode,
+    batch_size, keep, record_events, seed,
 ):
     """Summaries and kept trajectories (events included when recorded)
     are the same serial or pooled, on any process count, watched or
-    silent; no pooled run creates a shared-memory segment."""
+    silent; a sequential run gives the first rows of a fixed-count
+    run; a watched run reports up to its last row; no pooled run
+    creates a shared-memory segment."""
     tree, strategy = _MODEL
     # The lockstep kernel records no events (the config rejects it).
     record_events = record_events and kernel == "object"
@@ -167,27 +172,48 @@ def test_answer_independent_of_execution(
             chunk_trajectories=chunk, record_events=record_events, **kwargs,
         )
 
-    reference = driver().run(n_runs, keep_trajectories=keep)
     kwargs = {"keep_trajectories": keep}
+    buffer = io.StringIO()
     if watched:
-        kwargs["progress"] = JsonlProgressReporter(stream=io.StringIO())
+        kwargs["progress"] = JsonlProgressReporter(stream=buffer)
     mc = driver(instrumentation=Instrumentation() if watched else None)
     before = _segments()
-    if parallel:
+    if mode == "run_parallel":
         pool = pools[processes] if pooled else None
         result = mc.run_parallel(n_runs, processes=processes, pool=pool, **kwargs)
-    else:
+    elif mode == "run":
         result = mc.run(n_runs, **kwargs)
+    else:
+        rule = RelativePrecisionRule(
+            relative_error=0.5, min_samples=2, max_samples=max(2, n_runs)
+        )
+        result = mc.run_to_precision(rule, batch_size=batch_size, **kwargs)
+        n_runs = result.n_runs
     assert _segments() == before
-    assert result.summary == reference.summary
-    assert result.trajectories == reference.trajectories
+    # Rows simulated: a sequential lockstep run draws whole chunks.
+    streams = -(-n_runs // chunk) if kernel == "vectorized" else n_runs
+    whole_chunks = mode == "run_to_precision" and kernel == "vectorized"
+    simulated = streams * chunk if whole_chunks else n_runs
+    reference = driver().run(simulated, keep_trajectories=keep)
+    if simulated == n_runs:
+        assert result.summary == reference.summary
+    else:
+        assert result.summary == summarize(reference.batch.head(n_runs))
+    if keep:
+        assert result.trajectories == reference.trajectories[:n_runs]
+    else:
+        assert result.trajectories is None
     if keep and record_events:
         assert all(t.events_recorded for t in result.trajectories)
-    streams = -(-n_runs // chunk) if kernel == "vectorized" else n_runs
     assert mc._streams_used == streams
     if watched:
         counters = mc.instrumentation.registry.to_dict()["counters"]
-        assert counters[obs.SIM_TRAJECTORIES] == n_runs
+        assert counters[obs.SIM_TRAJECTORIES] == simulated
+        events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        completed = [event["completed"] for event in events]
+        assert completed == sorted(completed)
+        assert completed[-1] == n_runs
+        assert events[-1]["done"] is True
 
 
 def test_object_kernel_parallel_still_per_trajectory(

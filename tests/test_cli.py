@@ -72,6 +72,32 @@ def test_simulate_kernel_flag(tmp_path, capsys, maintained_tree):
     assert "failures/yr" in out
 
 
+def test_simulate_default_kernel_follows_routing_rule(tmp_path, capsys):
+    """The default ``--kernel auto`` prints the kernel the study ran:
+    lockstep on an eligible model, the object engine (with the reason)
+    on a fallback model."""
+    from repro.core.builder import FMTBuilder
+
+    eligible = FMTBuilder("eligible")
+    eligible.degraded_event("wear", phases=3, mean=6.0, threshold=2)
+    eligible.basic_event("shock", rate=0.1)
+    eligible.or_gate("top", ["wear", "shock"])
+    fallback = FMTBuilder("fallback")
+    fallback.basic_event("a", rate=0.2)
+    fallback.basic_event("b", rate=0.3)
+    fallback.basic_event("c", rate=0.1)
+    fallback.and_gate("ab", ["a", "b"])
+    fallback.or_gate("top", ["ab", "c"])
+    fallback.rdep("accel", trigger="ab", targets=["c"], factor=2.0)
+    for builder, kernel in ((eligible, "vectorized"), (fallback, "object")):
+        path = tmp_path / f"{builder.name}.fmt"
+        save_file(builder.build("top"), path)
+        assert main(["simulate", str(path), "--runs", "50", "--horizon", "5"]) == 0
+        out = capsys.readouterr().out
+        assert f"50 trajectories, seed 0, {kernel} kernel" in out
+    assert "RDEP trigger 'ab' is a gate" in out
+
+
 def test_simulate_kernel_flag_rejects_unknown(tmp_path, maintained_tree):
     path = tmp_path / "model.fmt"
     save_file(maintained_tree, path)
@@ -319,12 +345,6 @@ def test_serve_validates_worker_count(capsys):
     assert "--workers" in capsys.readouterr().err
     assert main(["serve", "--max-pending", "0", "--port", "0"]) == 2
     assert "--max-pending" in capsys.readouterr().err
-
-
-def test_options_before_command_rotate_with_deprecation(capsys):
-    with pytest.warns(DeprecationWarning, match="before the command"):
-        assert main(["--quick", "table1"]) == 0
-    assert "ferrous_dust" in capsys.readouterr().out
 
 
 def test_command_first_form_warns_nothing(recwarn, capsys):

@@ -3,42 +3,62 @@
 The deprecation policy (docs/api.md, "API stability & deprecation")
 keeps replaced surfaces behind shims for at least one release; this
 module pins each shim's warning *and* its behaviour, so a shim cannot
-silently rot before its removal release.
+silently rot before its removal release, and pins each removal.
 """
 
 import warnings
 
 import pytest
 
-from repro.simulation.engine import Engine, ScheduledEvent
+from repro.simulation.engine import Engine
 
 
 # ----------------------------------------------------------------------
-# ScheduledEvent ordering (tentpole: tuple-keyed event calendar)
+# Removed at 1.1.0, one release after their shims shipped
 # ----------------------------------------------------------------------
-def test_scheduled_event_ordering_warns_and_orders():
+def test_scheduled_event_ordering_removed():
+    # Handles no longer order; the calendar orders plain tuples.
     engine = Engine()
     early = engine.schedule(1.0, lambda: None, priority=0)
     late = engine.schedule(2.0, lambda: None, priority=0)
-    with pytest.warns(DeprecationWarning, match="ScheduledEvent ordering"):
-        assert early < late
-    with pytest.warns(DeprecationWarning):
-        assert not (late < early)
+    with pytest.raises(TypeError):
+        early < late
+    assert (early.time, early.priority, early.seq) < (
+        late.time, late.priority, late.seq
+    )
 
 
 def test_scheduled_event_ordering_ties_break_by_priority_then_seq():
+    # The tie-break the handle ordering exposed still holds on the calendar.
     engine = Engine()
-    first = engine.schedule(1.0, lambda: None, priority=1)
-    second = engine.schedule(1.0, lambda: None, priority=0)
-    third = engine.schedule(1.0, lambda: None, priority=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        assert second < first  # lower priority value wins
-        assert first < third  # same priority: insertion order wins
+    fired = []
+    engine.schedule(1.0, lambda: fired.append("first"), priority=1)
+    engine.schedule(1.0, lambda: fired.append("second"), priority=0)
+    engine.schedule(1.0, lambda: fired.append("third"), priority=1)
+    engine.run_until(2.0)
+    assert fired == ["second", "first", "third"]  # priority, then insertion
+
+
+def test_experiments_dict_removed():
+    import repro.experiments as experiments
+    from repro.experiments.registry import iter_experiments
+
+    assert not hasattr(experiments, "EXPERIMENTS")
+    assert "EXPERIMENTS" not in experiments.__all__
+    assert next(iter_experiments())[0] == "table1"
+
+
+def test_cli_leading_options_rejected(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--quick", "table1"])
+    assert excinfo.value.code == 2
+    assert "ferrous_dust" not in capsys.readouterr().out
 
 
 def test_engine_hot_path_emits_no_deprecation_warnings():
-    """The engine itself never trips its own shim."""
+    """The engine's hot path emits no deprecation warnings."""
     engine = Engine()
     fired = []
     engine.schedule(2.0, lambda: fired.append(2))
@@ -48,19 +68,6 @@ def test_engine_hot_path_emits_no_deprecation_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         engine.run_until(10.0)
     assert fired == [0, 1, 2]
-
-
-# ----------------------------------------------------------------------
-# repro.experiments.EXPERIMENTS (api_redesign: experiment registry)
-# ----------------------------------------------------------------------
-def test_experiments_dict_warns_and_matches_registry():
-    import repro.experiments as experiments
-    from repro.experiments.registry import iter_experiments
-
-    with pytest.warns(DeprecationWarning, match="repro.experiments.EXPERIMENTS"):
-        legacy = experiments.EXPERIMENTS
-    assert legacy == dict(iter_experiments())
-    assert list(legacy)[0] == "table1"
 
 
 def test_experiments_unknown_attribute_still_raises():
@@ -84,17 +91,6 @@ def test_simulation_stack_is_warning_free():
         warnings.simplefilter("error", DeprecationWarning)
         simulator.simulate(np.random.default_rng(3))
         simulator.clone().simulate(np.random.default_rng(3))
-
-
-# ----------------------------------------------------------------------
-# CLI options before the command (api_redesign: argparse subparsers)
-# ----------------------------------------------------------------------
-def test_cli_leading_options_warn_and_rotate(capsys):
-    from repro.cli import main
-
-    with pytest.warns(DeprecationWarning, match="before the command"):
-        assert main(["--quick", "table1"]) == 0
-    assert "ferrous_dust" in capsys.readouterr().out
 
 
 def test_cli_command_first_is_warning_free(capsys):

@@ -108,14 +108,6 @@ def test_registry_rejects_duplicate_ids():
         register("table1")(lambda config=None: None)
 
 
-def test_experiments_dict_shim_deprecated():
-    import repro.experiments as experiments
-
-    with pytest.warns(DeprecationWarning, match="EXPERIMENTS is deprecated"):
-        legacy = experiments.EXPERIMENTS
-    assert legacy == dict(iter_experiments())
-
-
 def test_table1_lists_all_modes():
     result = table1_model.run()
     assert len(result.rows) == 11

@@ -220,6 +220,10 @@ def test_classification_runs_once_per_prototype(
 # Digests of explicit requests: routing must not move any existing
 # cache entry.  The object digests predate the router; the vectorized
 # ones carry the lockstep chunk-plan version (LOCKSTEP_PLAN_VERSION 2).
+# They were computed under the 1.0.0 salt; a release moves every digest
+# through CODE_SALT by design, so the tests pin the salt and check that
+# nothing else in the key material moved.
+_PINNED_SALT = "repro-1.0.0/studies-v1"
 _PINNED = {
     "object": (
         "a8345f77285c05974b27ced39fe90ea5fa16c6d81e7d5553261e348cbafbc267",
@@ -238,8 +242,15 @@ _PRE_PLAN_VECTORIZED = (
 )
 
 
+@pytest.fixture
+def pinned_salt(monkeypatch):
+    from repro.studies import key as key_module
+
+    monkeypatch.setattr(key_module, "CODE_SALT", _PINNED_SALT)
+
+
 @pytest.mark.parametrize("kernel", sorted(_PINNED))
-def test_explicit_digests_unchanged(kernel):
+def test_explicit_digests_unchanged(pinned_salt, kernel):
     request = StudyRequest(
         tree=build_ei_joint_fmt(),
         strategy=current_policy(),
@@ -253,7 +264,9 @@ def test_explicit_digests_unchanged(kernel):
     assert (key.digest, key.derive("summary", None).digest) == _PINNED[kernel]
 
 
-def test_vectorized_entry_under_pre_plan_material_is_not_served(tmp_path):
+def test_vectorized_entry_under_pre_plan_material_is_not_served(
+    pinned_salt, tmp_path
+):
     from repro.studies.cache import DiskCache
     from repro.studies.key import CODE_SALT, StudyKey, canonical, strategy_signature
 

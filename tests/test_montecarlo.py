@@ -1,5 +1,6 @@
 """Monte Carlo driver: reproducibility, stopping, result surface."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -32,7 +33,8 @@ def test_different_seeds_differ(maintained_tree):
 
 
 def test_batching_invariance(maintained_tree):
-    """Two batches of 25 equal one batch of 50 under the same seed."""
+    """Two batches of 25 equal one batch of 50 under the same seed, and
+    both equal the simulator's own trajectories on those streams."""
     whole = _mc(maintained_tree, horizon=30.0, seed=9)
     split = _mc(maintained_tree, horizon=30.0, seed=9)
     all_at_once = whole.sample(50)
@@ -40,6 +42,12 @@ def test_batching_invariance(maintained_tree):
     assert [t.n_failures for t in all_at_once] == [
         t.n_failures for t in in_parts
     ]
+    direct = [
+        whole.simulator.simulate(np.random.default_rng(seed))
+        for seed in np.random.SeedSequence(9).spawn(50)
+    ]
+    assert all_at_once == direct
+    assert in_parts == direct
 
 
 def test_run_requires_positive_count(maintained_tree):
@@ -176,3 +184,28 @@ def test_run_to_precision_rejects_bad_batch(maintained_tree):
 
 def test_horizon_property(maintained_tree):
     assert _mc(maintained_tree, horizon=12.5).horizon == 12.5
+
+
+@pytest.mark.parametrize("kernel", ["object", "vectorized"])
+def test_prototype_instrumentation_times_summarize(
+    maintained_tree, inspection_strategy, kernel
+):
+    """A driver cloned from an instrumented prototype times its KPI
+    aggregation into the prototype's instrumentation, as it does its
+    trajectories."""
+    from repro.observability import instrumentation as obs
+    from repro.observability.instrumentation import Instrumentation
+    from repro.simulation.executor import FMTSimulator, SimulationConfig
+
+    instr = Instrumentation()
+    prototype = FMTSimulator(
+        maintained_tree,
+        inspection_strategy,
+        config=SimulationConfig(
+            horizon=10.0, instrumentation=instr, kernel=kernel
+        ),
+    )
+    MonteCarlo(simulator=prototype).run(200)
+    registry = instr.registry
+    assert registry.to_dict()["counters"][obs.SIM_TRAJECTORIES] == 200
+    assert registry.timer(obs.TIMER_SUMMARIZE).count == 1
